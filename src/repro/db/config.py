@@ -84,11 +84,6 @@ class RuntimeConfig:
         Changing it changes flush boundaries and therefore the
         simulated timeline — it is a *modeled* knob, not a host-only
         one.
-    vectorize:
-        Run operators on the columnar batch fast path (default). With
-        ``False`` every operator takes its row-at-a-time reference
-        path — same rows, same simulated timeline, slower on the host;
-        kept as the differential-testing oracle.
     processors:
         Simulated hardware contexts of the session's machine.
     contention:
@@ -180,7 +175,6 @@ require pool_pages: elevator cursors read through a buffer pool
     spill_prefetch_depth: Optional[int] = None
     page_rows: int = DEFAULT_PAGE_ROWS
     batch_size: Optional[int] = None
-    vectorize: bool = True
     processors: int = 8
     contention: Optional[float] = None
     dop: int = 1

@@ -212,7 +212,6 @@ class Session:
             memory=memory,
             scan_manager=scans,
             spill_prefetch_depth=spill_depth,
-            vectorize=config.vectorize,
         )
         self.policy = policy
         self.threshold = threshold

@@ -14,20 +14,23 @@ as NULL: comparisons involving ``None`` are false, arithmetic with
 ``None`` yields ``None``, and aggregates skip ``None`` inputs — enough
 for the outer-join counting of TPC-H Q13.
 
-Expressions also *batch-compile* (:func:`compile_batch`): the tree is
-lowered to a generated list comprehension over column lists, so one
-batch evaluates in a single interpreted loop instead of a closure call
-per row per node. The generated code preserves the row semantics above
-value-for-value; only evaluation laziness differs (a guarded operand
-may be skipped when its sibling is NULL), which is unobservable for
-the pure expressions the tree models.
+Expressions also *batch-compile* (:func:`compile_batch`), which is how
+the staged operators evaluate them: the tree is lowered to a generated
+list comprehension over column lists, so one batch evaluates in a
+single interpreted loop instead of a closure call per row per node.
+The generated code preserves the row semantics above value-for-value;
+only evaluation laziness differs (a guarded operand may be skipped
+when its sibling is NULL), which is unobservable for the pure
+expressions the tree models. A node from outside this module's tree
+lowers to a call of its own ``compile()`` row closure on the row tuple,
+so batch compilation is total.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import PlanError
 from repro.storage.schema import Schema
@@ -35,7 +38,6 @@ from repro.storage.schema import Schema
 __all__ = [
     "Expr",
     "compile_batch",
-    "try_compile_batch",
     "col",
     "lit",
     "add",
@@ -90,6 +92,12 @@ class _BatchCodegen:
         self.env[name] = value
         return name
 
+    def row(self) -> str:
+        """The whole row as a tuple display over every column."""
+        n = len(self.schema)
+        self.used.update(range(n))
+        return f"({''.join(f'_r{i}, ' for i in range(n))})"
+
 
 class Expr:
     """Base expression node."""
@@ -98,10 +106,12 @@ class Expr:
         raise NotImplementedError
 
     def _emit_batch(self, gen: _BatchCodegen) -> str:
-        """The node as a Python expression over ``_r<i>`` loop vars."""
-        raise PlanError(
-            f"expression {self.signature()} does not support batch compilation"
-        )
+        """The node as a Python expression over ``_r<i>`` loop vars.
+
+        The default serves nodes defined outside this module: their
+        row closure runs on the row tuple rebuilt from the loop vars.
+        """
+        return f"{gen.constant(self.compile(gen.schema))}({gen.row()})"
 
     def signature(self) -> str:
         raise NotImplementedError
@@ -112,9 +122,12 @@ class Expr:
 
 # Compiled-batch memo: plans are rebuilt per execution but reuse the
 # same (immutable) expression trees, so lowering + ``compile()`` would
-# otherwise dominate short queries. Keyed by the expression node and
-# the schema's column tuple (both hashable); entries whose expressions
-# are unhashable (exotic Udf payloads) simply compile uncached.
+# otherwise dominate short queries. Keyed by the expression node, its
+# signature and the schema's column tuple. The node alone is not
+# enough: dataclass equality makes ``lit(1) == lit(1.0) == lit(True)``,
+# while the signature tells them apart; the node keeps a Udf's ``fn``
+# in the identity. Unhashable expressions (exotic Udf payloads) simply
+# compile uncached.
 _BATCH_CACHE: dict = {}
 _BATCH_CACHE_MAX = 4096
 
@@ -124,12 +137,10 @@ def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
 
     The result takes ``(columns, n)`` — the batch's column lists and
     its row count — and returns the list of ``n`` values the row-wise
-    ``expr.compile(schema)`` closure would produce row by row. Raises
-    :class:`~repro.errors.PlanError` for expression nodes outside this
-    module's tree (see :func:`try_compile_batch`).
+    ``expr.compile(schema)`` closure would produce row by row.
     """
     try:
-        cache_key = (expr, schema.columns)
+        cache_key = (expr, expr.signature(), schema.columns)
         cached = _BATCH_CACHE.get(cache_key)
     except TypeError:
         cache_key = None
@@ -156,16 +167,6 @@ def compile_batch(expr: Expr, schema: Schema) -> BatchFn:
             _BATCH_CACHE.clear()
         _BATCH_CACHE[cache_key] = fn
     return fn
-
-
-def try_compile_batch(expr: Expr, schema: Schema) -> Optional[BatchFn]:
-    """:func:`compile_batch`, or ``None`` when the tree has a node the
-    lowering does not know (custom :class:`Expr` subclasses keep
-    working through the row-at-a-time path)."""
-    try:
-        return compile_batch(expr, schema)
-    except PlanError:
-        return None
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ NULL semantics: aggregate inputs that evaluate to ``None`` are skipped
 (``count(expr)`` counts non-NULL values; ``count(*)`` counts rows) —
 TPC-H Q13's ``count(o_orderkey)`` over a left join depends on this.
 
-Vectorized, the group keys and aggregate inputs of a whole batch are
-extracted column-at-a-time (one ``zip`` over the key columns, one
-batch-compiled evaluation per aggregate expression) before the fold
-loop runs; a global aggregate (no group-by) folds each input column in
-one tight loop per accumulator. Float accumulation order is preserved
-exactly — sums still add value by value in row order — so results stay
-bit-identical to the row-at-a-time path.
+The group keys and aggregate inputs of a whole batch are extracted
+column-at-a-time (one ``zip`` over the key columns, one batch-compiled
+evaluation per aggregate expression) before the fold loop runs; a
+global aggregate (no group-by) folds each input column in one tight
+loop per accumulator. Float accumulation order is preserved exactly —
+sums still add value by value in row order — so results stay
+bit-identical to the reference executor's row fold
+(:func:`aggregate_rows`).
 
 Without memory governance (``ctx.memory is None``) the stage buffers
 every group unconditionally, exactly as the seed did. With a
@@ -34,7 +35,7 @@ unbounded aggregate's at every budget.
 
 from __future__ import annotations
 
-from repro.engine.expressions import try_compile_batch
+from repro.engine.expressions import compile_batch
 from repro.engine.operators.api import BatchOperator, drive
 from repro.errors import PlanError
 from repro.sim.events import Compute
@@ -171,22 +172,12 @@ class AggregateOperator(BatchOperator):
         schema = node.children[0].schema
         self.aggs = node.params["aggs"]
         self.group_idx = [schema.index_of(n) for n in node.params["group_by"]]
-        self.value_fns = [
-            (spec.expr.compile(schema) if spec.expr is not None
-             else (lambda row: True))
-            for spec in self.aggs
-        ]
         # Batch value extractors; None stands for count(*)'s constant.
-        batch_fns = [
-            (try_compile_batch(spec.expr, schema)
+        self.batch_fns = [
+            (compile_batch(spec.expr, schema)
              if spec.expr is not None else None)
             for spec in self.aggs
         ]
-        self.vector = ctx.vectorize and all(
-            bf is not None or spec.expr is None
-            for bf, spec in zip(batch_fns, self.aggs)
-        )
-        self.batch_fns = batch_fns if self.vector else None
         self.make_emitter(len(node.schema))
         self.groups: dict[tuple, list[Accumulator]] = {}
         self.grant = None
@@ -211,45 +202,33 @@ class AggregateOperator(BatchOperator):
         return [Accumulator(spec.func) for spec in self.aggs]
 
     def _fold_ungoverned(self, batch):
-        if self.vector:
-            keys, values = self._batch_keys_values(batch)
-            groups = self.groups
-            if keys is None:
-                accumulators = groups.get(())
-                if accumulators is None:
-                    accumulators = self._fresh_accumulators()
-                    groups[()] = accumulators
-                for accumulator, column in zip(accumulators, values):
-                    accumulator.update_column(column)
-                return
-            make = self._fresh_accumulators
-            if len(values) == 1:
-                column = values[0]
-                for i, key in enumerate(keys):
-                    accumulators = groups.get(key)
-                    if accumulators is None:
-                        accumulators = make()
-                        groups[key] = accumulators
-                    accumulators[0].update(column[i])
-                return
+        keys, values = self._batch_keys_values(batch)
+        groups = self.groups
+        if keys is None:
+            accumulators = groups.get(())
+            if accumulators is None:
+                accumulators = self._fresh_accumulators()
+                groups[()] = accumulators
+            for accumulator, column in zip(accumulators, values):
+                accumulator.update_column(column)
+            return
+        make = self._fresh_accumulators
+        if len(values) == 1:
+            column = values[0]
             for i, key in enumerate(keys):
                 accumulators = groups.get(key)
                 if accumulators is None:
                     accumulators = make()
                     groups[key] = accumulators
-                for accumulator, column in zip(accumulators, values):
-                    accumulator.update(column[i])
+                accumulators[0].update(column[i])
             return
-        group_idx = self.group_idx
-        groups = self.groups
-        for row in batch.rows:
-            key = tuple(row[i] for i in group_idx)
+        for i, key in enumerate(keys):
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = self._fresh_accumulators()
+                accumulators = make()
                 groups[key] = accumulators
-            for accumulator, fn in zip(accumulators, self.value_fns):
-                accumulator.update(fn(row))
+            for accumulator, column in zip(accumulators, values):
+                accumulator.update(column[i])
 
     # -- protocol --------------------------------------------------------
 
@@ -321,20 +300,10 @@ class AggregateOperator(BatchOperator):
         fanout = self.fanout
         grant = self.grant
         cost = costs.agg_update * len(batch)
-        if self.vector:
-            keys, values = self._batch_keys_values(batch)
-            if keys is None:
-                keys = [()] * len(batch)
-            rows_values = zip(keys, *values)
-        else:
-            group_idx = self.group_idx
-            value_fns = self.value_fns
-            rows_values = (
-                (tuple(row[i] for i in group_idx),
-                 *(fn(row) for fn in value_fns))
-                for row in batch.rows
-            )
-        for key, *row_values in rows_values:
+        keys, values = self._batch_keys_values(batch)
+        if keys is None:
+            keys = [()] * len(batch)
+        for key, *row_values in zip(keys, *values):
             p = parts[_partition_of(key, 0, fanout)]
             if p.spilled:
                 fresh = self._fresh_accumulators()

@@ -24,10 +24,10 @@ where the cost model says the work happens.
 Operators receive :class:`~repro.engine.packet.RowBatch` payloads and
 emit through :class:`~repro.engine.stage.BatchEmitter` — whole batches
 or column lists, never a Python-level loop per row on the hot path.
-``StageContext.vectorize`` selects between the batched implementations
-and each operator's row-at-a-time reference path; both produce
-bit-identical rows and the identical simulated-event sequence (the
-parity suite in ``tests/test_batch_parity.py`` pins this).
+Each operator has exactly one staged implementation; its oracle is
+:func:`~repro.engine.reference.execute_reference`, and the parity
+suite in ``tests/test_batch_parity.py`` checks rows against it and
+pins the simulated clock.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ class StageContext:
     per-operator row counts. ``None`` (the default) disables the hook
     entirely; :func:`~repro.obs.perf.attach_profiler` swaps a live
     engine's context for one carrying a profiler.
-
-    ``vectorize`` selects the columnar batch implementations of the
-    operators (the default). ``False`` pins the row-at-a-time
-    reference path — same answers, same simulated time, only host
-    speed differs; it exists for the parity suite and as an escape
-    hatch for plans carrying expression nodes the batch compiler does
-    not know.
     """
 
     catalog: Catalog
@@ -91,7 +84,6 @@ class StageContext:
     scans: Optional[ScanShareManager] = None
     spill_prefetch: int = 0
     perf: Optional[object] = None
-    vectorize: bool = True
 
 
 class BatchOperator:

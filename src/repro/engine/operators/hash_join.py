@@ -12,10 +12,10 @@ phase then streams, emitting per ``join_type``:
   (TPC-H Q4's EXISTS);
 * ``anti``  — probe rows with no match, probe columns only.
 
-Vectorized, the join key column is pulled out of each batch once (the
-batch is columnar, so this is a single list reference) and the
-build/probe loops walk ``zip(keys, rows)`` instead of indexing into
-every row tuple.
+The join key column is pulled out of each batch once (the batch is
+columnar, so this is a single list reference) and the build/probe
+loops walk ``zip(keys, rows)`` instead of indexing into every row
+tuple.
 
 Without memory governance (``ctx.memory is None``) the stage holds its
 entire build side, exactly as the seed did. With a
@@ -148,12 +148,6 @@ class HashJoinOperator(BatchOperator):
         self.grant = None
         self.make_emitter(len(node.schema))
 
-    def _keys(self, batch, index):
-        """The join-key column of one batch."""
-        if self.ctx.vectorize:
-            return batch.column(index)
-        return [row[index] for row in batch.rows]
-
     # -- protocol --------------------------------------------------------
 
     def open(self):
@@ -178,7 +172,7 @@ class HashJoinOperator(BatchOperator):
             else:
                 yield Compute(self.ctx.costs.hash_build * len(batch))
                 table = self.table
-                keys = self._keys(batch, self.build_index)
+                keys = batch.column(self.build_index)
                 for key, row in zip(keys, batch.rows):
                     table.setdefault(key, []).append(row)
             return
@@ -187,7 +181,7 @@ class HashJoinOperator(BatchOperator):
             return
         yield Compute(self.ctx.costs.hash_probe * len(batch))
         joined = _probe_keyed(
-            batch.rows, self._keys(batch, self.probe_index),
+            batch.rows, batch.column(self.probe_index),
             self.table, self.join_type, self.build_width,
         )
         if joined:
@@ -257,7 +251,7 @@ class HashJoinOperator(BatchOperator):
         fanout = self.fanout
         grant = self.grant
         cost = costs.hash_build * len(batch)
-        keys = self._keys(batch, self.build_index)
+        keys = batch.column(self.build_index)
         for key, row in zip(keys, batch.rows):
             p = parts[_partition_of(key, 0, fanout)]
             if p.spilled:
@@ -279,7 +273,7 @@ class HashJoinOperator(BatchOperator):
         fanout = self.fanout
         cost = costs.hash_probe * len(batch)
         joined = []
-        keys = self._keys(batch, self.probe_index)
+        keys = batch.column(self.probe_index)
         for key, row in zip(keys, batch.rows):
             p = parts[_partition_of(key, 0, fanout)]
             if p.spilled:

@@ -7,10 +7,9 @@ expressions (``project_tuple`` per surviving tuple per expression)
 inside the same stage, mirroring the paper's scan stages which apply
 the query's predicates before handing pages to the consumer.
 
-On the vectorized path the page never leaves columnar form: the
-storage layer hands back raw column slices
-(:meth:`~repro.storage.table.Table.column_slices`), the fused
-predicate runs as one batch-compiled comprehension producing a
+The page never leaves columnar form: the storage layer hands back raw
+column slices (:meth:`~repro.storage.table.Table.column_slices`), the
+fused predicate runs as one batch-compiled comprehension producing a
 selection vector, and the fused outputs evaluate column-at-a-time over
 the selected columns — rows are materialized only if a downstream
 consumer actually asks for tuples.
@@ -49,7 +48,7 @@ consumers attached, its emitter multiplexes every page M ways.
 
 from __future__ import annotations
 
-from repro.engine.expressions import try_compile_batch
+from repro.engine.expressions import compile_batch
 from repro.engine.operators.api import BatchOperator, drive
 from repro.engine.packet import RowBatch
 from repro.sim.events import Compute, Sleep
@@ -83,43 +82,23 @@ class ScanOperator(BatchOperator):
         base_schema = self.table.projected_schema(self.columns)
         predicate = node.params.get("predicate")
         outputs = node.params.get("outputs")
-        self.predicate_fn = (
-            predicate.compile(base_schema) if predicate is not None else None
-        )
-        self.output_fns = (
-            [expr.compile(base_schema) for _, expr, _ in outputs]
-            if outputs is not None
-            else None
-        )
         self.cost_factor = node.params.get("cost_factor", 1.0)
-        # Batch-compile the fused expressions; any node the batch
-        # compiler does not know drops this scan to the row path.
         self.batch_pred = (
-            try_compile_batch(predicate, base_schema)
+            compile_batch(predicate, base_schema)
             if predicate is not None
             else None
         )
-        batch_outs = (
-            [try_compile_batch(expr, base_schema) for _, expr, _ in outputs]
+        self.batch_outs = (
+            [compile_batch(expr, base_schema) for _, expr, _ in outputs]
             if outputs is not None
             else None
-        )
-        if batch_outs is not None and any(fn is None for fn in batch_outs):
-            batch_outs = None
-        self.batch_outs = batch_outs
-        self.vector = (
-            ctx.vectorize
-            and (predicate is None or self.batch_pred is not None)
-            and (outputs is None or self.batch_outs is not None)
         )
         # Fused-page memo: scans with the same signature (same table,
         # projection, fused expressions, cost factor — the identity the
         # sharing layer itself keys on) reuse each decoded + filtered
-        # page and its cost across queries. The vector flag is part of
-        # the key so the row-at-a-time reference path never sees
-        # vector-built batches (and vice versa).
+        # page and its cost across queries.
         self._memo = self.table.fused_cache(
-            ("fused", node.signature, ctx.page_rows, self.vector),
+            ("fused", node.signature, ctx.page_rows),
             self.table.page_count(ctx.page_rows),
         )
         self.make_emitter(len(node.schema))
@@ -145,37 +124,17 @@ class ScanOperator(BatchOperator):
             )
         return cost, batch
 
-    def _page_cost_rows(self, page):
-        """Row-at-a-time reference: cost and transformed row list."""
-        costs = self.ctx.costs
-        cost = costs.scan_tuple * len(page)
-        batch = page.rows
-        if self.predicate_fn is not None:
-            cost += costs.filter_tuple * self.cost_factor * len(batch)
-            batch = [row for row in batch if self.predicate_fn(row)]
-        if self.output_fns is not None and batch:
-            cost += (
-                costs.project_tuple * self.cost_factor * len(batch) * len(self.output_fns)
-            )
-            batch = [tuple(fn(row) for fn in self.output_fns) for row in batch]
-        return cost, batch
-
     def _load_page(self, index):
         """One physical page as a transformed batch plus its CPU cost."""
         memo = self._memo
         hit = memo[index]
         if hit is not None:
             return hit
-        if self.vector:
-            slices = self.table.column_slices(
-                index, self.columns, self.ctx.page_rows
-            )
-            batch = RowBatch.from_columns(slices, len(slices[0]))
-            result = self._page_cost_batch(batch)
-        else:
-            page = self.table.page_at(index, self.columns, self.ctx.page_rows)
-            cost, rows = self._page_cost_rows(page)
-            result = cost, RowBatch.from_rows(rows, len(self.node.schema))
+        slices = self.table.column_slices(
+            index, self.columns, self.ctx.page_rows
+        )
+        batch = RowBatch.from_columns(slices, len(slices[0]))
+        result = self._page_cost_batch(batch)
         memo[index] = result
         return result
 

@@ -17,10 +17,10 @@ multiplexing — the serialization the paper identifies as the hidden
 cost of sharing.
 
 The emitter is representation-polymorphic: producers hand it column
-lists (:meth:`~BatchEmitter.emit_columns` — the vectorized scan /
-filter path), row tuples (:meth:`~BatchEmitter.emit_rows` — joins,
-sorts, aggregates) or whole :class:`~repro.engine.packet.RowBatch`
-objects, and it buffers in whichever representation arrives, so no
+lists (:meth:`~BatchEmitter.emit_columns`), row tuples
+(:meth:`~BatchEmitter.emit_rows` — joins, sorts, aggregates) or whole
+:class:`~repro.engine.packet.RowBatch` objects (scan, filter,
+project), and it buffers in whichever representation arrives, so no
 row<->column transpose happens unless a consumer actually asks for the
 other view. A batch that is already exactly ``batch_rows`` long passes
 straight through without copying — the common case for a saturated
@@ -60,9 +60,8 @@ class BatchEmitter:
     ``width`` is the emitted tuple width in columns (copy cost scales
     with tuple bytes). Flush boundaries depend only on the cumulative
     row count, so any split of the same row stream into emit calls
-    yields the identical event sequence — that equivalence is what lets
-    the vectorized and row-at-a-time operator paths share one simulated
-    timeline.
+    yields the identical event sequence — an operator may emit rows,
+    columns or whole batches without moving the simulated timeline.
 
     ``op``/``perf`` are the wall-clock profiling hook (see
     :mod:`repro.obs.perf`): with a profiler attached, every batch flush

@@ -4,7 +4,7 @@ Everything else in :mod:`repro.obs` observes the **simulated** clock;
 this module observes the other one. The reproduction's engine moves
 Python row tuples through per-row operator loops, and at TPC-H scale
 the harness itself is the bottleneck — the ROADMAP's "raw speed" item
-cannot vectorize a hot path it cannot see. :class:`WallProfiler` is
+cannot speed up a hot path it cannot see. :class:`WallProfiler` is
 that instrument:
 
 * the :class:`~repro.sim.simulator.Simulator` drives it at every

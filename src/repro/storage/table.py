@@ -96,48 +96,21 @@ class Table:
             raise StorageError(f"page_rows must be >= 1, got {page_rows}")
         return -(-len(self) // page_rows)
 
-    def page_at(
-        self,
-        index: int,
-        columns: Sequence[str] | None = None,
-        page_rows: int = DEFAULT_PAGE_ROWS,
-    ) -> Page:
-        """Materialize one page by index (random access).
-
-        Page ``i`` covers rows ``[i * page_rows, (i+1) * page_rows)``,
-        matching :meth:`scan_pages` and the buffer pool's
-        :func:`~repro.storage.buffer.table_page_key` convention. Used
-        by cooperative (elevator) scans, which start mid-table and
-        wrap around rather than walking from row 0.
-        """
-        if page_rows < 1:
-            raise StorageError(f"page_rows must be >= 1, got {page_rows}")
-        n_pages = self.page_count(page_rows)
-        if not (0 <= index < n_pages):
-            raise StorageError(
-                f"page index {index} out of range for {self.name!r} "
-                f"({n_pages} pages at {page_rows} rows/page)"
-            )
-        if columns is None:
-            cols = self._columns
-        else:
-            cols = [self._columns[self.schema.index_of(c)] for c in columns]
-        start = index * page_rows
-        end = min(start + page_rows, len(self))
-        return Page(list(zip(*(col[start:end] for col in cols))))
-
     def column_slices(
         self,
         index: int,
         columns: Sequence[str] | None = None,
         page_rows: int = DEFAULT_PAGE_ROWS,
     ) -> list[list[Any]]:
-        """One page's worth of raw column slices (columnar page access).
+        """One page's worth of raw column slices (random page access).
 
-        Same page geometry as :meth:`page_at`, but the page stays
-        column-wise — the batched scan path wraps these slices into a
-        :class:`~repro.engine.packet.RowBatch` without ever zipping
-        rows the downstream may never materialize.
+        Page ``i`` covers rows ``[i * page_rows, (i+1) * page_rows)``,
+        matching :meth:`scan_pages` and the buffer pool's
+        :func:`~repro.storage.buffer.table_page_key` convention;
+        cooperative (elevator) scans start mid-table and wrap around.
+        The page stays column-wise — the scan stage wraps these slices
+        into a :class:`~repro.engine.packet.RowBatch` without ever
+        zipping rows the downstream may never materialize.
 
         Decoded pages are cached per (projection, page_rows) until the
         next ingest, so concurrent scans of one table (and repeated

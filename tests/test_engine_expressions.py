@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.db import Database
+from repro.engine import execute_reference
 from repro.engine.expressions import (
     add,
     and_,
     between,
     col,
+    compile_batch,
     eq,
     ge,
     gt,
@@ -22,7 +25,7 @@ from repro.engine.expressions import (
     udf,
 )
 from repro.errors import PlanError, SchemaError
-from repro.storage import DataType, Schema
+from repro.storage import Catalog, DataType, Schema
 
 
 @pytest.fixture
@@ -132,3 +135,32 @@ class TestSignatures:
         assert lt(col("x"), col("y")).signature() != (
             lt(col("y"), col("x")).signature()
         )
+
+
+class TestBatchCache:
+    """The batch-compile memo must never hand one node's code to another
+    node that compares equal but has a different signature."""
+
+    @pytest.mark.parametrize("first,second", [(1.0, 1), (1, 1.0)])
+    def test_literal_types_do_not_share_code(self, first, second):
+        catalog = Catalog()
+        catalog.create("t", Schema([("k", DataType.INT)])).insert_many(
+            [(i,) for i in range(5)]
+        )
+        session = Database.open(catalog, "unbounded")
+        for value in (first, second):
+            query = session.table("t").project(
+                [("x", mul(col("k"), lit(value)), DataType.FLOAT)]
+            )
+            rows = session.run(query).rows
+            assert repr(rows) == repr(
+                execute_reference(query.plan(), catalog)
+            )
+            assert type(rows[1][0]) is type(value)
+
+    def test_udf_identity_includes_fn(self, schema):
+        cols = [[3], [2.5], ["hello"]]
+        upper = compile_batch(udf("f", str.upper, col("s")), schema)
+        title = compile_batch(udf("f", str.title, col("s")), schema)
+        assert upper(cols, 1) == ["HELLO"]
+        assert title(cols, 1) == ["Hello"]
