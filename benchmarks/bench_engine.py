@@ -6,7 +6,7 @@ single staged query, a shared group, and the raw simulator event loop.
 
 from conftest import wall_samples
 
-from repro.engine import Engine
+from repro.engine import Engine, execute_reference
 from repro.sim import Compute, Simulator
 from repro.tpch.queries import build
 
@@ -31,6 +31,33 @@ def test_single_query_q6(benchmark, catalog, trajectory):
         wall_samples=wall_samples(benchmark),
         rows=scanned,
         counters={"completions": len(sim.completions)},
+        tolerance_pct=15.0,
+    )
+
+
+def test_single_query_q1(benchmark, catalog, trajectory):
+    """Grouped aggregation: q1 folds eight aggregates per group."""
+    query = build("q1", catalog)
+    scanned = sum(1 for _ in catalog.table("lineitem").rows())
+
+    def run():
+        sim = Simulator(processors=8)
+        engine = Engine(catalog, sim)
+        handle = engine.execute(query.plan, "q1")
+        sim.run()
+        return handle, sim
+
+    handle, sim = benchmark(run)
+    assert handle.done
+    assert len(query.plan.children[0].params["aggs"]) == 8
+    assert handle.rows == execute_reference(query.plan, catalog)
+    trajectory.record(
+        "engine_q1",
+        sim_time=sim.now,
+        wall_samples=wall_samples(benchmark),
+        rows=scanned,
+        counters={"groups": len(handle.rows),
+                  "completions": len(sim.completions)},
         tolerance_pct=15.0,
     )
 

@@ -9,14 +9,16 @@ experiment's output, not micro-timing stability.
 The session-scoped :func:`trajectory` fixture is the perf-trajectory
 harness: every smoke bench records one named entry (simulated time,
 wall seconds, and whatever counters characterize the run), and at
-session end the collected entries are written to ``BENCH_10.json`` at
-the repo root under the versioned ``repro-bench/1`` schema
-(:mod:`repro.obs.bench`) — host fingerprint plus per-bench
-``{sim_time, wall_s, rows_per_s, counters, wall_samples,
-tolerance_pct}``. CI's perf job uploads the file as an artifact and
-diffs it against the committed checkpoint with a blocking
-``repro perf diff --fail-over`` gate, so every PR carries a
-comparable, gated performance trace.
+session end the collected entries are written to
+``.bench/trajectory.json`` (git-ignored) under the versioned
+``repro-bench/1`` schema (:mod:`repro.obs.bench`) — host fingerprint
+plus per-bench ``{sim_time, wall_s, rows_per_s, counters,
+wall_samples, tolerance_pct}``. A fresh run never overwrites a
+committed ``BENCH_<n>.json`` checkpoint; CI's perf job uploads the
+file as an artifact and diffs it against the highest-numbered
+committed checkpoint (:func:`repro.obs.bench.latest_checkpoint`) with
+a blocking ``repro perf diff --fail-over`` gate. To commit a new
+checkpoint, copy the run to ``BENCH_<n+1>.json``.
 """
 
 from pathlib import Path
@@ -29,7 +31,7 @@ from repro.tpch.generator import generate
 BENCH_SCALE_FACTOR = 0.0005
 BENCH_SEED = 2007
 
-TRAJECTORY_FILE = Path(__file__).resolve().parent.parent / "BENCH_10.json"
+TRAJECTORY_FILE = Path(__file__).resolve().parent.parent / ".bench" / "trajectory.json"
 
 
 @pytest.fixture(scope="session")
@@ -61,4 +63,5 @@ def trajectory():
     sink = BenchTrajectory()
     yield sink
     if sink.entries:
+        TRAJECTORY_FILE.parent.mkdir(exist_ok=True)
         sink.write(TRAJECTORY_FILE)

@@ -8,25 +8,44 @@ NULL semantics: aggregate inputs that evaluate to ``None`` are skipped
 (``count(expr)`` counts non-NULL values; ``count(*)`` counts rows) —
 TPC-H Q13's ``count(o_orderkey)`` over a left join depends on this.
 
-The group keys and aggregate inputs of a whole batch are extracted
-column-at-a-time (one ``zip`` over the key columns, one batch-compiled
-evaluation per aggregate expression) before the fold loop runs; a
-global aggregate (no group-by) folds each input column in one tight
-loop per accumulator. Float accumulation order is preserved exactly —
-sums still add value by value in row order — so results stay
-bit-identical to the reference executor's row fold
-(:func:`aggregate_rows`).
+Each batch is folded column-at-a-time, one group at a time — gather,
+then fold:
+
+* **Inputs are resolved once**, at construction. A bare column
+  reference reads the batch column in place; any other expression is
+  batch-compiled. Identical inputs (Q1's ``sum`` and ``avg`` of
+  ``l_quantity``) are evaluated once per batch, and ``count(*)`` adds
+  the group's row count instead of folding a column.
+* **One dict pass** over the batch's key tuples maps each distinct key
+  to its row positions, in first-appearance order. A batch holding a
+  single group — every batch of a global aggregate — skips the
+  gather and folds whole columns.
+* **Per (group, distinct input)** the group's values are gathered
+  once (``operator.itemgetter``) and every aggregate over that input
+  folds the slice (:meth:`Accumulator.update_column`). A ``sum`` and
+  an ``avg`` of one input hold identical (total, count) state, so the
+  second copies the first's state instead of folding the slice again.
+
+Float accumulation order is preserved exactly: a group's sum still
+adds its values one by one in row order — a left fold, never the
+builtin ``sum`` (compensated on CPython 3.12), ``math.fsum`` or a
+pairwise numpy reduction — so results stay bit-identical to the
+reference executor's row fold (:func:`aggregate_rows`). Costs are
+charged per input row as before, so simulated time does not move.
 
 Without memory governance (``ctx.memory is None``) the stage buffers
 every group unconditionally, exactly as the seed did. With a
 :class:`~repro.engine.memory.MemoryBroker` attached it takes a
 working-memory grant and becomes a **partitioned spilling aggregate**:
-groups are hashed into partitions, and when the resident group state
-exceeds the grant the largest partition is spilled — its accumulator
-*states* (which merge: sums add, counts add, min/max combine) are
-written through a :class:`~repro.storage.buffer.SpillFile`, and later
-input rows for a spilled partition are folded into singleton states
-and appended. A finalize phase re-reads each spilled partition,
+groups are hashed into partitions (one partition lookup per distinct
+key per batch), resident partitions fold gathered slices as above, and
+when the resident group state exceeds the grant the largest partition
+is spilled — its accumulator *states* (which merge: sums add, counts
+add, min/max combine) are written through a
+:class:`~repro.storage.buffer.SpillFile`. Later input rows for a
+spilled partition are folded into singleton states and appended one
+row at a time, in row order, so spill files and page counts match a
+row-at-a-time fold. A finalize phase re-reads each spilled partition,
 merges its states (the broker records an overcommit if a single
 partition still exceeds the grant — the recursion floor), and emits
 all groups in global key order, so the answer is identical to the
@@ -35,8 +54,12 @@ unbounded aggregate's at every budget.
 
 from __future__ import annotations
 
-from repro.engine.expressions import compile_batch
+from collections import defaultdict, deque
+from operator import itemgetter
+
+from repro.engine.expressions import ColumnRef, compile_batch
 from repro.engine.operators.api import BatchOperator, drive
+from repro.engine.operators.hash_join import _partition_of
 from repro.errors import PlanError
 from repro.sim.events import Compute
 from repro.storage.spill_cursor import SpillCursor
@@ -79,12 +102,15 @@ class Accumulator:
             raise PlanError(f"unknown aggregate {self.func!r}")
 
     def update_column(self, values) -> None:
-        """Fold a whole value column, preserving row-order arithmetic."""
+        """Fold a slice of values; the state equals :meth:`update` called
+        value by value.
+
+        Sums add value by value from the running total — never the
+        builtin ``sum``, which compensates float sums on CPython 3.12 —
+        and min/max keep the row fold's first-wins rule on ties.
+        """
         func = self.func
-        if func == "count":
-            self.count += sum(1 for v in values if v is not None)
-            return
-        if func in ("sum", "avg"):
+        if func == "sum" or func == "avg":
             total = self.total
             count = self.count
             for v in values:
@@ -94,16 +120,18 @@ class Accumulator:
             self.total = total
             self.count = count
             return
+        if func == "count":
+            self.count += len(values) - values.count(None)
+            return
+        if None in values:
+            values = [v for v in values if v is not None]
+        if not values:
+            return
+        best = self.best
         if func == "min":
-            kept = [v for v in values if v is not None]
-            if kept:
-                low = min(kept)
-                self.best = low if self.best is None else min(self.best, low)
+            self.best = min(values) if best is None else min(best, *values)
         elif func == "max":
-            kept = [v for v in values if v is not None]
-            if kept:
-                high = max(kept)
-                self.best = high if self.best is None else max(self.best, high)
+            self.best = max(values) if best is None else max(best, *values)
         else:  # pragma: no cover - constructor validates
             raise PlanError(f"unknown aggregate {func!r}")
 
@@ -144,6 +172,27 @@ def _sort_key(key: tuple) -> tuple:
     return tuple((value is None, value) for value in key)
 
 
+def _input_slot(exprs, expr) -> int:
+    """Position of an identical earlier input in ``exprs``, else its length.
+
+    Inputs must agree in signature *and* equality: ``lit(1)`` and
+    ``lit(1.0)`` compare equal but evaluate to different types.
+    """
+    for j, seen in enumerate(exprs):
+        if seen.signature() == expr.signature() and seen == expr:
+            return j
+    return len(exprs)
+
+
+def _gather(columns, rows):
+    """Each column's values at ``rows`` (ascending row positions)."""
+    if len(rows) == 1:
+        i = rows[0]
+        return [(col[i],) for col in columns]
+    get = itemgetter(*rows)
+    return [get(col) for col in columns]
+
+
 def aggregate_rows(rows, schema, group_by, aggs):
     """Pure function: grouped aggregation over materialized rows."""
     group_idx = [schema.index_of(name) for name in group_by]
@@ -172,63 +221,99 @@ class AggregateOperator(BatchOperator):
         schema = node.children[0].schema
         self.aggs = node.params["aggs"]
         self.group_idx = [schema.index_of(n) for n in node.params["group_by"]]
-        # Batch value extractors; None stands for count(*)'s constant.
-        self.batch_fns = [
-            (compile_batch(spec.expr, schema)
-             if spec.expr is not None else None)
-            for spec in self.aggs
-        ]
+        # Distinct aggregate inputs, resolved once: a column index (the
+        # batch column is read in place) or a batch-compiled expression.
+        exprs: list = []
+        self.inputs: list = []
+        # (aggregate position, input position) of each fold; count(*)
+        # positions in ``star`` add slice lengths instead.
+        self.folds: list[tuple[int, int]] = []
+        self.star: list[int] = []
+        # (twin position, lead position): a sum and an avg of one input
+        # hold identical (total, count) state at all times, so the
+        # second copies the first's state instead of folding again.
+        self.twins: list[tuple[int, int]] = []
+        leads: dict[int, int] = {}
+        for k, spec in enumerate(self.aggs):
+            expr = spec.expr
+            if expr is None:
+                self.star.append(k)
+                continue
+            j = _input_slot(exprs, expr)
+            if j == len(exprs):
+                exprs.append(expr)
+                self.inputs.append(
+                    schema.index_of(expr.name) if type(expr) is ColumnRef
+                    else compile_batch(expr, schema)
+                )
+            if spec.func in ("sum", "avg"):
+                if j in leads:
+                    self.twins.append((k, leads[j]))
+                    continue
+                leads[j] = k
+            self.folds.append((k, j))
         self.make_emitter(len(node.schema))
         self.groups: dict[tuple, list[Accumulator]] = {}
         self.grant = None
 
-    # -- batch-wise extraction -------------------------------------------
+    # -- gather, then fold -----------------------------------------------
 
-    def _batch_keys_values(self, batch):
-        """Key tuples and per-aggregate value columns for one batch."""
-        n = len(batch)
+    def _input_columns(self, batch):
+        """One value column per distinct aggregate input."""
         cols = batch.columns
-        if self.group_idx:
-            keys = list(zip(*[cols[i] for i in self.group_idx]))
-        else:
-            keys = None
-        values = [
-            ([True] * n if bf is None else bf(cols, n))
-            for bf in self.batch_fns
+        n = len(batch)
+        return [
+            cols[src] if type(src) is int else src(cols, n)
+            for src in self.inputs
         ]
-        return keys, values
+
+    def _group_rows(self, batch):
+        """Row positions per distinct group key, plus the key column.
+
+        Keys appear in first-appearance order. A batch holding a
+        single group maps it to ``None`` (every row), which lets the
+        fold use whole columns; a global aggregate has no key column.
+        """
+        if not self.group_idx:
+            return {(): None}, None
+        cols = batch.columns
+        keys = list(zip(*[cols[i] for i in self.group_idx]))
+        positions = defaultdict(list)
+        # positions[key].append(i) for every row, without a Python loop.
+        deque(map(list.append, map(positions.__getitem__, keys),
+                  range(len(keys))), maxlen=0)
+        if len(positions) == 1:
+            return {keys[0]: None}, keys
+        return positions, keys
+
+    def _fold_group(self, accumulators, columns, rows, n):
+        """Fold one group's rows of a batch (``rows=None``: all ``n``)."""
+        if rows is not None:
+            n = len(rows)
+            columns = _gather(columns, rows)
+        for k in self.star:
+            accumulators[k].count += n
+        for k, j in self.folds:
+            accumulators[k].update_column(columns[j])
+        for k, lead in self.twins:
+            twin = accumulators[k]
+            twin.total = accumulators[lead].total
+            twin.count = accumulators[lead].count
 
     def _fresh_accumulators(self):
         return [Accumulator(spec.func) for spec in self.aggs]
 
     def _fold_ungoverned(self, batch):
-        keys, values = self._batch_keys_values(batch)
         groups = self.groups
-        if keys is None:
-            accumulators = groups.get(())
-            if accumulators is None:
-                accumulators = self._fresh_accumulators()
-                groups[()] = accumulators
-            for accumulator, column in zip(accumulators, values):
-                accumulator.update_column(column)
-            return
-        make = self._fresh_accumulators
-        if len(values) == 1:
-            column = values[0]
-            for i, key in enumerate(keys):
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = make()
-                    groups[key] = accumulators
-                accumulators[0].update(column[i])
-            return
-        for i, key in enumerate(keys):
+        columns = self._input_columns(batch)
+        n = len(batch)
+        positions, _ = self._group_rows(batch)
+        for key, rows in positions.items():
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = make()
+                accumulators = self._fresh_accumulators()
                 groups[key] = accumulators
-            for accumulator, column in zip(accumulators, values):
-                accumulator.update(column[i])
+            self._fold_group(accumulators, columns, rows, n)
 
     # -- protocol --------------------------------------------------------
 
@@ -292,33 +377,37 @@ class AggregateOperator(BatchOperator):
     def _governed_fold(self, batch):
         """Fold one batch into partitioned group state, spilling the
         largest partition whenever the grant is exceeded."""
-        from repro.engine.operators.hash_join import _partition_of
-
         costs = self.ctx.costs
         page_rows = self.ctx.page_rows
         parts = self.parts
         fanout = self.fanout
         grant = self.grant
-        cost = costs.agg_update * len(batch)
-        keys, values = self._batch_keys_values(batch)
-        if keys is None:
-            keys = [()] * len(batch)
-        for key, *row_values in zip(keys, *values):
+        n = len(batch)
+        cost = costs.agg_update * n
+        columns = self._input_columns(batch)
+        positions, keys = self._group_rows(batch)
+        # Row position -> spilled partition it is bound for.
+        to_spill = {}
+        for key, rows in positions.items():
             p = parts[_partition_of(key, 0, fanout)]
             if p.spilled:
-                fresh = self._fresh_accumulators()
-                for accumulator, value in zip(fresh, row_values):
-                    accumulator.update(value)
-                cost += costs.spill_page * p.file.append_rows(
-                    (_state_row(key, fresh),)
-                )
-            else:
-                accumulators = p.groups.get(key)
-                if accumulators is None:
-                    accumulators = self._fresh_accumulators()
-                    p.groups[key] = accumulators
-                for accumulator, value in zip(accumulators, row_values):
-                    accumulator.update(value)
+                to_spill.update(dict.fromkeys(
+                    range(n) if rows is None else rows, p))
+                continue
+            accumulators = p.groups.get(key)
+            if accumulators is None:
+                accumulators = self._fresh_accumulators()
+                p.groups[key] = accumulators
+            self._fold_group(accumulators, columns, rows, n)
+        # A spilled partition takes one singleton state per row, appended
+        # in row order, so its spill file and page count match a row fold.
+        for i in sorted(to_spill):
+            fresh = self._fresh_accumulators()
+            self._fold_group(fresh, columns, (i,), n)
+            key = () if keys is None else keys[i]
+            cost += costs.spill_page * to_spill[i].file.append_rows(
+                (_state_row(key, fresh),)
+            )
         while _group_pages(parts, page_rows) > grant.pages:
             cost += costs.spill_page * self._spill_largest()
         grant.resize_used(_group_pages(parts, page_rows))

@@ -102,12 +102,34 @@ def _probe_keyed(rows, keys, table, join_type, build_width):
     return output
 
 
+# Key types whose repr is the same for every pair of equal keys.
+_CANONICAL_KEY_TYPES = frozenset((int, str, type(None)))
+
+
+def _canonical(value):
+    """``value`` with equal numbers spelled alike: a bool or an
+    integral float becomes the int it equals."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    if isinstance(value, int):
+        return int(value)
+    return value
+
+
 def _partition_of(key, salt: int, fanout: int) -> int:
     """Deterministic partition number, independent of PYTHONHASHSEED.
 
     ``salt`` varies per recursion level so that a partition which does
-    not fit is re-split along a different boundary.
+    not fit is re-split along a different boundary. Keys that are equal
+    (and so meet in a hash table) share a partition: numeric key parts
+    are canonicalized before hashing, so ``True``, ``1`` and ``1.0``
+    land together while int and str keys keep their partitions.
     """
+    if type(key) not in _CANONICAL_KEY_TYPES:
+        if type(key) is tuple:
+            key = tuple(map(_canonical, key))
+        else:
+            key = _canonical(key)
     return zlib.crc32(f"{salt}|{key!r}".encode()) % fanout
 
 

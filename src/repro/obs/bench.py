@@ -53,6 +53,7 @@ __all__ = [
     "DiffReport",
     "diff_trajectories",
     "host_fingerprint",
+    "latest_checkpoint",
 ]
 
 SCHEMA = "repro-bench/1"
@@ -366,6 +367,20 @@ class DiffReport:
             f"{len(self.missing)} missing"
         )
         return "\n".join(lines)
+
+
+def latest_checkpoint(directory: Union[str, Path] = ".") -> Path:
+    """The checkpoint ``BENCH_<n>.json`` in ``directory`` with the
+    highest ``n`` — the perf gate's baseline, so no script has to name
+    a fixed file when a newer checkpoint is committed."""
+    numbered = []
+    for path in Path(directory).glob("BENCH_*.json"):
+        number = path.stem.removeprefix("BENCH_")
+        if number.isdigit():
+            numbered.append((int(number), path))
+    if not numbered:
+        raise FileNotFoundError(f"no BENCH_<n>.json checkpoint in {directory}")
+    return max(numbered)[1]
 
 
 def _median_wall(entry: BenchEntry) -> float:

@@ -18,6 +18,7 @@ from repro.obs.bench import (
     BenchSchemaError,
     BenchTrajectory,
     diff_trajectories,
+    latest_checkpoint,
 )
 
 
@@ -249,3 +250,16 @@ def test_cli_diff_structural_errors(tmp_path, capsys):
     bad.write_text("[]")
     assert main(["perf", "diff", old_path, str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_latest_checkpoint_is_the_highest_numbered(tmp_path):
+    for name in ("BENCH_9.json", "BENCH_10.json", "BENCH_6.json",
+                 "BENCH_run.json", "trajectory.json"):
+        (tmp_path / name).write_text("{}")
+    assert latest_checkpoint(tmp_path) == tmp_path / "BENCH_10.json"
+
+
+def test_latest_checkpoint_needs_one(tmp_path):
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    with pytest.raises(FileNotFoundError):
+        latest_checkpoint(tmp_path)

@@ -107,7 +107,7 @@ class TestEmitterMechanics:
 
 
 class TestBatchEmitter:
-    """The batched emitter API: rows, columns, and whole batches."""
+    """The batched emitter API: row tuples and whole batches."""
 
     def run_batched(self, emit_calls, page_rows=4, consumers=1, width=2):
         sim = Simulator(processors=1)
@@ -134,9 +134,9 @@ class TestBatchEmitter:
 
     def test_emit_rows_and_columns_agree(self):
         rows = [(i, float(i)) for i in range(10)]
-        cols = [list(c) for c in zip(*rows)]
+        cols = RowBatch.from_columns([list(c) for c in zip(*rows)])
         by_rows = self.run_batched([("emit_rows", (rows,))])
-        by_cols = self.run_batched([("emit_columns", (cols, len(rows)))])
+        by_cols = self.run_batched([("emit_batch", (cols,))])
         assert by_rows[1] == by_cols[1]
         assert by_rows[2].now == by_cols[2].now
 
@@ -149,10 +149,10 @@ class TestBatchEmitter:
 
     def test_mixed_representations_preserve_row_order(self):
         rows = [(i, float(i)) for i in range(6)]
-        cols = [[10, 11], [10.0, 11.0]]
+        cols = RowBatch.from_columns([[10, 11], [10.0, 11.0]])
         _, received, _ = self.run_batched(
             [("emit_rows", (rows[:3],)),
-             ("emit_columns", (cols, 2)),
+             ("emit_batch", (cols,)),
              ("emit_rows", (rows[3:],))],
         )
         flat = [r for page in received for r in page]

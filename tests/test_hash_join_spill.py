@@ -162,3 +162,56 @@ class TestGracefulDegradation:
         assert (resource_report(first[1]).spill_pages_written
                 == resource_report(second[1]).spill_pages_written)
         assert first[0].rows == second[0].rows
+
+
+class TestEqualKeysShareAPartition:
+    """An INT build key meets an equal FLOAT probe key in every
+    partitioning: spilled partitions and the parallel exchange must
+    route ``1`` and ``1.0`` alike, as the in-memory hash table does."""
+
+    ROWS = 6000
+
+    @pytest.fixture
+    def mixed(self):
+        cat = Catalog()
+        cat.create("b", Schema([("k", DataType.INT)])).insert_many(
+            [(i,) for i in range(3000)]
+        )
+        cat.create("p", Schema([("fk", DataType.FLOAT)])).insert_many(
+            [(float(i % 3000),) for i in range(self.ROWS)]
+        )
+        plan = hash_join(scan(cat, "b"), scan(cat, "p"),
+                         build_key="k", probe_key="fk")
+        return cat, plan
+
+    @pytest.mark.parametrize("work_mem", (64, 8))
+    def test_governed_join_matches_reference(self, mixed, work_mem):
+        cat, plan = mixed
+        sim = Simulator(processors=4)
+        engine = Engine(
+            cat, sim, page_rows=16, buffer_pool=BufferPool(128),
+            memory=MemoryBroker(work_mem),
+        )
+        handle = engine.execute(plan, f"mixed@{work_mem}")
+        sim.run()
+        expected = sorted(execute_reference(plan, cat))
+        assert len(expected) == self.ROWS
+        assert sorted(handle.rows) == expected
+
+    def test_parallel_join_matches_reference(self, mixed):
+        cat, plan = mixed
+        sim = Simulator(processors=4)
+        engine = Engine(cat, sim, page_rows=16)
+        handle = engine.execute(plan, "mixed@dop2", dop=2)
+        sim.run()
+        assert sorted(handle.rows) == sorted(execute_reference(plan, cat))
+
+    def test_equal_keys_share_a_partition(self):
+        from repro.engine.operators.hash_join import _partition_of
+
+        for salt in (0, 1, 7):
+            assert (_partition_of(1, salt, 8) == _partition_of(1.0, salt, 8)
+                    == _partition_of(True, salt, 8))
+            assert (_partition_of((0, "x"), salt, 8)
+                    == _partition_of((False, "x"), salt, 8)
+                    == _partition_of((-0.0, "x"), salt, 8))
