@@ -32,7 +32,7 @@ makes its sharing decision flip.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.core.decision import ShareAdvisor, ShareDecision
 from repro.core.spec import QuerySpec
@@ -40,7 +40,7 @@ from repro.db.builder import Query, QueryBuilder
 from repro.db.config import RuntimeConfig
 from repro.db.result import QueryResult
 from repro.engine.engine import Engine
-from repro.engine.packet import QueryHandle
+from repro.engine.packet import GroupHandle, QueryHandle
 from repro.engine.parallel import find_region
 from repro.engine.plan import PlanNode
 from repro.engine.stats import ResourceReport, resource_report, stage_report
@@ -61,10 +61,11 @@ from repro.profiling.profiler import QueryProfiler
 from repro.sim.events import Sleep
 from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
+from repro.tpch.queries import TpchQuery
 
 __all__ = ["Database", "Session"]
 
-Submittable = Union[Query, QueryBuilder, PlanNode]
+Submittable = Union[Query, QueryBuilder, PlanNode, TpchQuery]
 
 
 @dataclass
@@ -326,9 +327,11 @@ class Session:
             return Query(plan=query, pivot_op_id=None, name=query.op_id)
         if isinstance(query, Query):
             return query
+        if isinstance(query, TpchQuery):
+            return Query(plan=query.plan, pivot_op_id=query.pivot, name=query.name)
         raise EngineError(
             f"cannot submit {type(query).__name__}; expected a "
-            "QueryBuilder, Query, or PlanNode"
+            "QueryBuilder, Query, TpchQuery, or PlanNode"
         )
 
     def submit(
@@ -374,6 +377,110 @@ class Session:
         """
         self.submit(query, label=label, share=share)
         return self.run_all()[-1]
+
+    # -- the routing core: group key -> decide -> launch -> audit ---------
+    #
+    # ``run_all`` (a batch at one instant) and the arrival-driven
+    # SharingCoordinator (Server, the closed loop) are two drivers over
+    # these steps; neither keeps its own copy of any of them.
+
+    def group_key(self, query: Query) -> Optional[tuple]:
+        """The merge key of ``query``, ``None`` when it has no pivot.
+
+        Merge candidates must agree on the pivot's *signature* (the
+        engine's merge test), its *op_id* (execute_group addresses the
+        pivot by id in every member), the query *name* (policies key
+        their specs on it), the effective *batch size* (a merged group
+        shares one stage pipeline, so its members must agree on the
+        exchange batching), and the effective *dop* (the
+        share-vs-parallelize choice is made once per group).
+        """
+        signature = query.pivot_signature
+        if signature is None:
+            return None
+        return (
+            signature,
+            query.pivot_op_id,
+            query.name,
+            self._batch_rows(query),
+            self._effective_dop(query),
+        )
+
+    def decide(
+        self,
+        query: Query,
+        m: int,
+        processors: int,
+        policy: Optional[SharingPolicy],
+    ) -> Union[ShareDecision, bool]:
+        """Should a prospective group of ``m`` copies of ``query`` share
+        on ``processors`` hardware contexts? An explicit ``policy``
+        answers through ``should_share``; ``None`` asks the built-in
+        advisor (:meth:`advise`, which prices the session's whole
+        machine), and a lone query never shares."""
+        if policy is not None:
+            return policy.should_share(query.name, m, processors)
+        if m < 2:
+            return False
+        return self.advise(query, m)
+
+    def launch(
+        self,
+        queries: Sequence[Query],
+        labels: Sequence[str],
+        on_complete: Optional[Sequence[Optional[Callable]]] = None,
+        dop: Optional[int] = None,
+    ) -> GroupHandle:
+        """Start ``queries`` on the engine and return their group.
+
+        Two or more queries run as one group shared at their common
+        pivot. A single query runs alone, fragmented ``dop`` ways
+        (default: its effective dop) when that is above 1. Either way
+        the launch uses the queries' effective exchange batch size.
+        """
+        query = queries[0]
+        batch_rows = self._batch_rows(query)
+        if dop is None:
+            dop = self._effective_dop(query)
+        if len(queries) == 1 and dop > 1:
+            self.engine.execute(
+                query.plan,
+                labels[0],
+                on_complete=on_complete[0] if on_complete else None,
+                batch_rows=batch_rows,
+                dop=dop,
+            )
+            return self.engine.groups[-1]
+        return self.engine.execute_group(
+            [q.plan for q in queries],
+            pivot_op_id=query.pivot_op_id if len(queries) > 1 else None,
+            labels=labels,
+            on_complete=on_complete,
+            batch_rows=batch_rows,
+        )
+
+    def _batch_rows(self, query: Query) -> Optional[int]:
+        """The exchange batch size in force for one query: its own
+        override, else the session config's (``None`` = engine
+        default, i.e. the page geometry)."""
+        if query.batch_size is not None:
+            return query.batch_size
+        return self.config.batch_size
+
+    def _effective_dop(self, query: Query) -> int:
+        """The intra-query parallelism actually available to ``query``:
+        its own override, else the session default — and 1 whenever the
+        plan has no parallelizable region (the engine would fall back
+        to serial anyway; resolving it here keeps routing and audit
+        honest)."""
+        dop = query.dop if query.dop is not None else self.config.dop
+        if dop > 1 and find_region(query.plan) is None:
+            return 1
+        return dop
+
+    def _solo_outcome(self, query: Query) -> str:
+        """The audit outcome of launching ``query`` alone."""
+        return "parallel" if self._effective_dop(query) > 1 else "solo"
 
     # -- the decision loop -----------------------------------------------
 
@@ -434,52 +541,39 @@ class Session:
         return results
 
     def _route(self, batch: Sequence[_Submission]) -> None:
-        # Merge candidates must agree on the pivot's *signature* (the
-        # engine's merge test), its *op_id* (execute_group addresses
-        # the pivot by id in every member), the query *name* (policies
-        # key their specs on it), the effective *batch size* (a merged
-        # group shares one stage pipeline, so its members must agree
-        # on the exchange batching), and the effective *dop* (the
-        # share-vs-parallelize choice is made once per group).
         groups: dict[tuple, list[_Submission]] = {}
         for entry in batch:
             if entry.delay > 0:
-                self._audit_route("solo", "solo", [entry])
-                self._launch_delayed(entry)
+                self._launch_solo_entry(entry, "solo")
                 continue
-            signature = entry.query.pivot_signature
-            if entry.share is False or signature is None:
+            key = self.group_key(entry.query)
+            if entry.share is False or key is None:
                 source = "forced" if entry.share is False else "solo"
                 self._launch_solo_entry(entry, source)
                 continue
-            key = (
-                signature,
-                entry.query.pivot_op_id,
-                entry.query.name,
-                self._batch_rows(entry.query),
-                self._effective_dop(entry.query),
-            )
             groups.setdefault(key, []).append(entry)
         for members in groups.values():
             forced = [m for m in members if m.share is True]
             undecided = [m for m in members if m.share is None]
-            dop = self._effective_dop(members[0].query)
             if len(members) < 2:
                 self._launch_solo_entry(members[0], "solo")
                 continue
             if forced and not undecided:
                 self._audit_route("forced", "share", forced)
-                self._launch_group(forced)
+                self._launch_entries(forced)
                 continue
-            if dop > 1 and not forced:
+            dop = self._effective_dop(members[0].query)
+            prices_modes = self.policy is None or hasattr(self.policy, "choose_mode")
+            if dop > 1 and not forced and prices_modes:
                 # The four-way choice: share, parallelize, both, or
                 # neither — priced by the outlook's projection. Any
                 # forced share=True member pins the group back to the
-                # binary share path below.
+                # binary share path below, and so does a policy that
+                # only answers share-or-not.
                 self._route_modes(members, dop)
                 continue
             decision, record = self._decide(members)
-            share = decision.share if isinstance(decision, ShareDecision) else decision
+            share = bool(decision)
             for entry in undecided:
                 entry.decision = decision if isinstance(decision, ShareDecision) else None
             if share or (forced and len(forced) >= 2):
@@ -493,43 +587,27 @@ class Session:
                     # decision record measures the solo remainder.
                     self._audit_route("forced", "share", chosen)
                     self._batch_records.append((record, list(solo)))
-                self._launch_group(chosen)
+                self._launch_entries(chosen)
                 for entry in solo:
-                    self._launch(None, [entry])
+                    self._launch_entries([entry])
             else:
                 self._batch_records.append((record, list(members)))
                 for entry in members:
-                    self._launch(None, [entry])
-
-    def _batch_rows(self, query: Query) -> Optional[int]:
-        """The exchange batch size in force for one query: its own
-        override, else the session config's (``None`` = engine
-        default, i.e. the page geometry)."""
-        if query.batch_size is not None:
-            return query.batch_size
-        return self.config.batch_size
-
-    def _effective_dop(self, query: Query) -> int:
-        """The intra-query parallelism actually available to ``query``:
-        its own override, else the session default — and 1 whenever the
-        plan has no parallelizable region (the engine would fall back
-        to serial anyway; resolving it here keeps routing and audit
-        honest)."""
-        dop = query.dop if query.dop is not None else self.config.dop
-        if dop > 1 and find_region(query.plan) is None:
-            return 1
-        return dop
+                    self._launch_entries([entry])
 
     def _launch_solo_entry(self, entry: _Submission, source: str) -> None:
-        """Launch one entry outside any sharing group — parallelized
-        when its effective dop asks for it, serial otherwise."""
-        dop = self._effective_dop(entry.query)
-        if dop > 1:
-            self._audit_route(source, "parallel", [entry])
-            self._launch_parallel(entry, dop)
-        else:
-            self._audit_route(source, "solo", [entry])
-            self._launch(None, [entry])
+        """Audit and launch one entry outside any sharing group, after
+        its ``delay`` when it has one."""
+        self._audit_route(source, self._solo_outcome(entry.query), [entry])
+        if entry.delay <= 0:
+            self._launch_entries([entry])
+            return
+
+        def submitter():
+            yield Sleep(entry.delay)
+            self._launch_entries([entry])
+
+        self.sim.spawn(submitter(), name=f"submit/{entry.label}")
 
     def _route_modes(self, members: list[_Submission], dop: int) -> None:
         """Route one same-signature group through the four-way
@@ -538,36 +616,31 @@ class Session:
         for entry in members:
             entry.decision = decision
         if projection.mode == "share":
-            self._launch_group(members)
+            self._launch_entries(members)
         elif projection.mode == "both":
             size = max(2, projection.partition_group_size)
             for start in range(0, len(members), size):
-                chunk = members[start:start + size]
-                if len(chunk) >= 2:
-                    self._launch_group(chunk)
-                else:
-                    self._launch(None, chunk)
+                self._launch_entries(members[start:start + size], dop=1)
         elif projection.mode == "parallel":
             for entry in members:
-                self._launch_parallel(entry, dop)
+                self._launch_entries([entry])
         else:
             for entry in members:
-                self._launch(None, [entry])
+                self._launch_entries([entry], dop=1)
 
     def _choose_mode(self, members: list[_Submission], dop: int):
         """Price all four execution arms for one prospective group.
 
         An attached policy with a ``choose_mode`` method (e.g.
         :class:`~repro.policies.model_guided.ModelGuidedPolicy`) is
-        consulted directly; otherwise the built-in advisor's rates
+        consulted directly; with no policy the built-in advisor's rates
         feed the outlook's projection. Either way one audit record
         with ``outcome = mode`` binds to the launched members.
         """
         query = members[0].query
         m = len(members)
-        chooser = getattr(self.policy, "choose_mode", None)
-        if chooser is not None:
-            projection = chooser(
+        if self.policy is not None:
+            projection = self.policy.choose_mode(
                 query.name, m, self.config.processors, dop
             )
             self._audit_route("policy", projection.mode, members)
@@ -590,47 +663,19 @@ class Session:
         self._audit_route("advisor", projection.mode, members, decision)
         return projection, decision
 
-    def _launch_parallel(self, entry: _Submission, dop: int) -> None:
-        handle = self.engine.execute(
-            entry.query.plan,
-            entry.label,
-            batch_rows=self._batch_rows(entry.query),
+    def _launch_entries(self, members: list[_Submission], dop: Optional[int] = None) -> None:
+        """Launch buffered submissions through the core's
+        :meth:`launch` and bind their handles."""
+        group = self.launch(
+            [entry.query for entry in members],
+            [entry.label for entry in members],
             dop=dop,
-        )
-        entry.handle = handle
-        entry.group_size = 1
-        entry.shared = False
-        group = self.engine.groups[-1]
-        self._live_groups.append((entry.query.name, group.size, group.group_id))
-
-    def _launch(self, pivot: Optional[str], members: list[_Submission]) -> None:
-        group = self.engine.execute_group(
-            [entry.query.plan for entry in members],
-            pivot_op_id=pivot,
-            labels=[entry.label for entry in members],
-            batch_rows=self._batch_rows(members[0].query),
         )
         for entry, handle in zip(members, group.handles):
             entry.handle = handle
             entry.group_size = group.size
             entry.shared = group.shared
         self._live_groups.append((members[0].query.name, group.size, group.group_id))
-
-    def _launch_group(self, members: list[_Submission]) -> None:
-        self._launch(members[0].query.pivot_op_id, members)
-
-    def _launch_delayed(self, entry: _Submission) -> None:
-        engine = self.engine
-        batch_rows = self._batch_rows(entry.query)
-        dop = self._effective_dop(entry.query)
-
-        def submitter():
-            yield Sleep(entry.delay)
-            entry.handle = engine.execute(
-                entry.query.plan, entry.label, batch_rows=batch_rows, dop=dop
-            )
-
-        self.sim.spawn(submitter(), name=f"submit/{entry.label}")
 
     def _notify_policy(self) -> None:
         """Feed each drained group's stage tasks back to the policy —
@@ -684,7 +729,7 @@ class Session:
             )
         return fields
 
-    def _audit_decision(
+    def audit_decision(
         self,
         source: str,
         outcome: str,
@@ -719,7 +764,7 @@ class Session:
         decision: Optional[ShareDecision] = None,
     ) -> AuditRecord:
         """Append one routing record and bind it to its submissions."""
-        record = self._audit_decision(
+        record = self.audit_decision(
             source, outcome, members[0].query, len(members), decision
         )
         self._batch_records.append((record, list(members)))
@@ -759,22 +804,18 @@ class Session:
     ) -> tuple[Union[ShareDecision, bool], AuditRecord]:
         query = members[0].query
         m = len(members)
-        if self.policy is not None:
-            verdict = self.policy.should_share(query.name, m, self.config.processors)
-            decision = verdict if isinstance(verdict, ShareDecision) else None
-            share = verdict.share if decision is not None else bool(verdict)
-            record = self._audit_decision(
-                "policy",
-                "share" if share else "solo",
-                query,
-                m,
-                decision=decision,
-            )
-            return verdict, record
-        verdict = self.advise(query, m)
-        # advise() appended its own "advisor" record; it is the one
-        # _route binds to the launched members.
-        record = self._audit.records[-1]
+        verdict = self.decide(query, m, self.config.processors, self.policy)
+        if self.policy is None:
+            # advise() appended its own "advisor" record; it is the one
+            # _route binds to the launched members.
+            return verdict, self._audit.records[-1]
+        record = self.audit_decision(
+            "policy",
+            "share" if verdict else self._solo_outcome(query),
+            query,
+            m,
+            decision=verdict if isinstance(verdict, ShareDecision) else None,
+        )
         return verdict, record
 
     def advise(
@@ -816,7 +857,7 @@ class Session:
         advisor = ShareAdvisor(processors=self.config.processors, threshold=self.threshold)
         group = [adjusted.relabeled(f"{built.name}#{i}") for i in range(group_size)]
         decision = advisor.evaluate(group, pivot_id)
-        self._audit_decision(
+        self.audit_decision(
             "advisor",
             "share" if decision.share else "solo",
             built,

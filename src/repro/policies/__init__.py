@@ -8,7 +8,6 @@ merged groups the way Cordoba merges packets in stage queues.
 
 from repro.policies.always import AlwaysShare
 from repro.policies.base import SharingPolicy
-from repro.policies.batch_planner import BatchPlan, BatchPlanner
 from repro.policies.coordinator import SharingCoordinator
 from repro.policies.model_guided import ModelGuidedPolicy
 from repro.policies.never import NeverShare
@@ -22,8 +21,6 @@ __all__ = [
     "OnlineModelGuidedPolicy",
     "ResourceOutlook",
     "ResourceProfile",
-    "BatchPlan",
-    "BatchPlanner",
     "SharingPolicy",
     "SharingCoordinator",
 ]

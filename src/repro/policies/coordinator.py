@@ -36,67 +36,71 @@ exactly as Section 8.1 proposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.engine.engine import Engine
+from repro.core.decision import ShareDecision
+from repro.db.builder import Query
 from repro.engine.packet import QueryHandle
 from repro.errors import PolicyError
-from repro.obs.audit import AuditLog
 from repro.policies.base import SharingPolicy
 
-__all__ = ["SharingCoordinator"]
+if TYPE_CHECKING:
+    from repro.db.session import Session
 
-# Attribute-absence sentinel for the Query/TpchQuery duck typing.
-_MISSING = object()
+__all__ = ["SharingCoordinator"]
 
 
 @dataclass
 class _Pending:
-    query: object  # TpchQuery or repro.db Query — see _pivot_of
+    query: Query
     label: str
     on_complete: Optional[Callable[[QueryHandle], None]]
 
 
 @dataclass
 class _Slot:
-    """State for one pivot signature."""
+    """State for one group key."""
 
-    signature: str
     active_groups: set = field(default_factory=set)
     pending: list = field(default_factory=list)
     flush_scheduled: bool = False
 
 
 class SharingCoordinator:
-    """Routes arriving queries into sharing groups per policy."""
+    """Routes arriving queries into sharing groups on one session.
+
+    Grouping, the share decision, the launch and its audit record are
+    the session's routing core (:meth:`Session.group_key`,
+    :meth:`Session.decide`, :meth:`Session.launch`,
+    :meth:`Session.audit_decision`); the coordinator adds only the
+    arrival-time state: same-instant batching, busy slots, pending
+    batches, and the processors offered net of other keys' members.
+    ``policy=None`` asks the session's built-in advisor.
+    """
 
     def __init__(
         self,
-        engine: Engine,
-        policy: SharingPolicy,
+        session: Session,
+        policy: Optional[SharingPolicy] = None,
         max_group_size: Optional[int] = None,
-        audit: Optional[AuditLog] = None,
         attach_inflight: bool = False,
     ) -> None:
         if max_group_size is not None and max_group_size < 1:
             raise PolicyError(
                 f"max_group_size must be >= 1, got {max_group_size}"
             )
-        self.engine = engine
+        self.session = session
+        self.sim = session.sim
         self.policy = policy
         self.max_group_size = max_group_size
         # Simultaneous pipelining (Section 3.2): with ``attach_inflight``
-        # an approved arrival at a *busy* signature launches immediately
+        # an approved arrival at a *busy* key launches immediately
         # instead of waiting in the pending batch — its scan attaches to
         # the in-flight elevator group mid-revolution through the
         # ScanShareManager (requires cooperative scans to actually share
         # work; without them it degrades to a concurrent solo run).
         self.attach_inflight = attach_inflight
-        # Optional decision audit trail: every routed batch appends a
-        # source="coordinator" record ("attach" when it joins a busy
-        # signature's pending batch, "share"/"solo" otherwise).
-        self.audit = audit
-        self._slots: dict[str, _Slot] = {}
+        self._slots: dict[tuple, _Slot] = {}
         self._active_members: dict[int, int] = {}
         self._group_names: dict[int, str] = {}
         self._group_sizes: dict[int, int] = {}
@@ -116,10 +120,11 @@ class SharingCoordinator:
         on_complete: Optional[Callable[[QueryHandle], None]] = None,
     ) -> None:
         """Accept one arriving query; routed at the end of the instant."""
+        query = self.session._as_query(query)
         self._arrivals.append(_Pending(query, label, on_complete))
         if not self._route_scheduled:
             self._route_scheduled = True
-            self.engine.sim.call_soon(self._route_arrivals)
+            self.sim.call_soon(self._route_arrivals)
 
     def pending_count(self) -> int:
         return sum(len(slot.pending) for slot in self._slots.values())
@@ -130,7 +135,7 @@ class SharingCoordinator:
 
     def queued_count(self) -> int:
         """Arrivals accepted but not yet running: the same-instant
-        buffer plus every busy signature's pending batch."""
+        buffer plus every busy key's pending batch."""
         return len(self._arrivals) + self.pending_count()
 
     def drain(self) -> None:
@@ -141,67 +146,45 @@ class SharingCoordinator:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _pivot_of(query) -> Optional[str]:
-        """The sharing pivot's op_id — for both the tpch
-        :class:`TpchQuery` (``pivot``) and the facade's
-        :class:`~repro.db.builder.Query` (``pivot_op_id``)."""
-        pivot = getattr(query, "pivot_op_id", _MISSING)
-        if pivot is not _MISSING:
-            return pivot
-        return query.pivot
-
-    @classmethod
-    def _signature(cls, query) -> Optional[str]:
-        pivot = cls._pivot_of(query)
-        if pivot is None:
-            return None
-        return f"{pivot}:{query.plan.find(pivot).signature}"
-
     def _route_arrivals(self) -> None:
         self._route_scheduled = False
         arrivals, self._arrivals = self._arrivals, []
-        by_signature: dict[str, list[_Pending]] = {}
+        by_key: dict[tuple, list[_Pending]] = {}
         for entry in arrivals:
-            signature = self._signature(entry.query)
-            if signature is None:
+            key = self.session.group_key(entry.query)
+            if key is None:
                 # No pivot — nothing to merge on; run solo under a
                 # per-name slot so completion bookkeeping still works.
-                signature = f"solo:{entry.query.name}"
-                slot = self._slots.setdefault(
-                    signature, _Slot(signature=signature)
-                )
+                slot = self._slots.setdefault(("solo", entry.query.name), _Slot())
                 self.solo_submissions += 1
                 self._launch(slot, [entry])
                 continue
-            by_signature.setdefault(signature, []).append(entry)
-        for signature, batch in by_signature.items():
-            slot = self._slots.setdefault(signature,
-                                          _Slot(signature=signature))
-            self._route_batch(slot, batch)
+            by_key.setdefault(key, []).append(entry)
+        for key, batch in by_key.items():
+            self._route_batch(self._slots.setdefault(key, _Slot()), batch)
 
     def _route_batch(self, slot: _Slot, batch: list[_Pending]) -> None:
-        name = batch[0].query.name
+        query = batch[0].query
         slot_active = sum(
             self._active_members.get(gid, 0) for gid in slot.active_groups
         )
         total_active = sum(self._active_members.values())
         effective_n = max(
-            1, self.engine.sim.n_processors - (total_active - slot_active)
+            1, self.sim.n_processors - (total_active - slot_active)
         )
         prospective = slot_active + len(slot.pending) + len(batch)
         busy = bool(slot.active_groups or slot.pending)
 
-        verdict = self.policy.should_share(name, prospective, effective_n)
-        if self.audit is not None:
-            self.audit.append(
-                query=name,
-                signature=slot.signature,
-                group_size=prospective,
-                source="coordinator",
-                outcome=("attach" if busy else "share") if verdict else "solo",
-                decided_at=self.engine.sim.now,
-            )
+        verdict = self.session.decide(query, prospective, effective_n, self.policy)
+        # One source="coordinator" record per routed batch: "attach"
+        # when it joins a busy key, "share"/"solo" otherwise.
+        self.session.audit_decision(
+            "coordinator",
+            ("attach" if busy else "share") if verdict else "solo",
+            query,
+            prospective,
+            decision=verdict if isinstance(verdict, ShareDecision) else None,
+        )
         if verdict:
             self.shared_submissions += len(batch)
             if busy and self.attach_inflight:
@@ -228,11 +211,9 @@ class SharingCoordinator:
             self._launch(slot, batch[start:start + cap])
 
     def _launch(self, slot: _Slot, batch: list[_Pending]) -> None:
-        pivot = self._pivot_of(batch[0].query) if len(batch) > 1 else None
-        group = self.engine.execute_group(
-            [entry.query.plan for entry in batch],
-            pivot_op_id=pivot,
-            labels=[entry.label for entry in batch],
+        group = self.session.launch(
+            [entry.query for entry in batch],
+            [entry.label for entry in batch],
             on_complete=[
                 self._wrap(slot, entry.on_complete) for entry in batch
             ],
@@ -264,7 +245,7 @@ class SharingCoordinator:
                 client_callback(handle)
             if group_drained and not slot.flush_scheduled:
                 slot.flush_scheduled = True
-                self.engine.sim.call_soon(lambda: self._flush(slot))
+                self.sim.call_soon(lambda: self._flush(slot))
 
         return on_query_done
 
@@ -277,9 +258,9 @@ class SharingCoordinator:
 
     def _notify_policy(self, handle: QueryHandle) -> None:
         """Feed the completed group back to learning policies."""
-        tasks = self.engine.group_tasks.get(handle.group_id)
+        tasks = self.session.engine.group_tasks.get(handle.group_id)
         query_name = self._group_names.pop(handle.group_id, None)
         group_size = self._group_sizes.pop(handle.group_id, 0)
-        if tasks is None or query_name is None:
+        if tasks is None or query_name is None or self.policy is None:
             return
         self.policy.observe_group(query_name, group_size, tasks)

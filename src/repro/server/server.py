@@ -43,7 +43,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.db.builder import Query
 from repro.db.config import RuntimeConfig
 from repro.db.session import Database, Session
 from repro.engine.packet import QueryHandle
@@ -200,8 +199,7 @@ def poisson_arrivals(
     """A deterministic Poisson arrival trace.
 
     Inter-arrival gaps are ``-ln(1 - U) / arrival_rate`` from one
-    seeded generator (the exact process ``run_open_system`` uses, so
-    server runs are comparable with the PR-3 driver at equal seeds);
+    seeded generator, so equal seeds replay equal arrival instants;
     query names come from ``mix``'s deterministic stream and resolve
     through ``queries``; tenants are drawn by weight from a second
     stream derived from the same seed.
@@ -236,30 +234,6 @@ def poisson_arrivals(
     return arrivals
 
 
-class _AdvisorPolicy(SharingPolicy):
-    """Adapter exposing the session's built-in outlook-driven advisor
-    as a coordinator policy: each verdict re-profiles the live resource
-    state (cold pages, spill pressure, drift), so the server's sharing
-    behaviour adapts to load exactly as ``Session.run_all``'s does."""
-
-    name = "advisor"
-
-    def __init__(self, session: Session) -> None:
-        self.session = session
-        self.queries: Dict[str, object] = {}
-
-    def should_share(self, query_name: str, m: int, n: int) -> bool:
-        if m < 2:
-            return False
-        query = self.queries.get(query_name)
-        if query is None:
-            return False
-        return self.session.advise(query, m).share
-
-    def observe_group(self, query_name, group_size, tasks) -> None:
-        pass
-
-
 class Server:
     """A long-running open-system server over one :class:`Session`.
 
@@ -291,6 +265,32 @@ class Server:
         Retain each completed query's result rows on its
         :class:`ServedQuery` record (the soak tests' bit-identical
         check). Disable for long benchmark runs.
+
+    Examples
+    --------
+    Two Q6 arrivals at the same instant merge into one shared group:
+
+    >>> from repro.db import Database, RuntimeConfig
+    >>> from repro.policies import AlwaysShare
+    >>> from repro.server import Arrival, Server
+    >>> from repro.tpch.generator import generate
+    >>> from repro.tpch.queries import build
+    >>> catalog = generate(scale_factor=0.0002, seed=3)
+    >>> q6 = build("q6", catalog)
+    >>> server = Server(Database.open(catalog, "cmp32"), policy=AlwaysShare())
+    >>> report = server.serve_trace([Arrival(0.0, q6), Arrival(0.0, q6)], drain=1e6)
+    >>> report.completed, report.launched_group_sizes
+    (2, (2,))
+
+    The server routes through its session's core, so it honours the
+    session's config (here ``dop=4``): a query served alone finishes
+    exactly when :meth:`Session.run` finishes it.
+
+    >>> config = RuntimeConfig.preset("cmp32").with_(dop=4)
+    >>> alone = Server(Database.open(catalog, config))
+    >>> served = alone.serve_trace([Arrival(0.0, q6)], drain=1e6).records[0]
+    >>> served.finished_at == Database.open(catalog, config).run(q6).finished_at
+    True
     """
 
     def __init__(
@@ -309,16 +309,13 @@ class Server:
         self.admission = admission if admission is not None else QueueDepthBound(64)
         self.max_inflight = max_inflight
         self.keep_rows = keep_rows
-        if policy is None:
-            policy = _AdvisorPolicy(session)
         self.policy = policy
         if attach_inflight is None:
             attach_inflight = session.scans is not None
         self.coordinator = SharingCoordinator(
-            session.engine,
+            session,
             policy,
             max_group_size=max_group_size,
-            audit=session.audit_log(),
             attach_inflight=attach_inflight,
         )
         self._queue: deque = deque()
@@ -539,7 +536,6 @@ class Server:
             return
 
         self.total_admitted += 1
-        self._register_query(arrival.query)
         gated = (
             self.max_inflight is not None and self._inflight >= self.max_inflight
         )
@@ -554,21 +550,6 @@ class Server:
                 decided_at=now,
             )
         self._dispatch()
-
-    def _register_query(self, query: object) -> None:
-        if isinstance(self.policy, _AdvisorPolicy):
-            name = getattr(query, "name", None)
-            if name is not None and name not in self.policy.queries:
-                # Normalize to a facade Query so the advisor can
-                # profile it (TpchQuery carries ``pivot``, not
-                # ``pivot_op_id``).
-                if not isinstance(query, Query):
-                    query = Query(
-                        plan=query.plan,
-                        pivot_op_id=getattr(query, "pivot", None),
-                        name=name,
-                    )
-                self.policy.queries[name] = query
 
     def _dispatch(self) -> None:
         while self._queue and (

@@ -1,14 +1,12 @@
-"""Workload harnesses: closed-system (Little's law) and open-system
-(Poisson arrivals) drivers over the sharing coordinator."""
+"""Workload harnesses: the closed-system (Little's law) driver and the
+query mixes it draws from. Open-system (Poisson) arrivals are served by
+:class:`repro.server.Server`."""
 
 from repro.workload.driver import ClosedSystemResult, run_closed_system
 from repro.workload.mixes import WorkloadMix
-from repro.workload.open_driver import OpenSystemResult, run_open_system
 
 __all__ = [
     "ClosedSystemResult",
     "run_closed_system",
-    "OpenSystemResult",
-    "run_open_system",
     "WorkloadMix",
 ]

@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.core.contention import ContentionLike
-from repro.engine.costs import DEFAULT_COST_MODEL, CostModel
-from repro.engine.engine import Engine
+from repro.db.config import RuntimeConfig
+from repro.db.session import Database
 from repro.errors import WorkloadError
 from repro.policies.base import SharingPolicy
 from repro.policies.coordinator import SharingCoordinator
-from repro.sim.simulator import Simulator
 from repro.storage.catalog import Catalog
 from repro.tpch.queries import TpchQuery, build
 from repro.workload.mixes import WorkloadMix
@@ -72,11 +70,11 @@ class _Client:
     def _submit_next(self) -> None:
         name = next(self.stream)
         self.submissions += 1
-        submitted_at = self.coordinator.engine.sim.now
+        submitted_at = self.coordinator.sim.now
         label = f"c{self.client_id}/{name}#{self.submissions}"
 
         def done(handle) -> None:
-            now = self.coordinator.engine.sim.now
+            now = self.coordinator.sim.now
             self.stats.record(name, now - submitted_at)
             self._submit_next()
 
@@ -106,13 +104,29 @@ def run_closed_system(
     processors: int,
     warmup: float,
     window: float,
-    costs: CostModel = DEFAULT_COST_MODEL,
-    contention: ContentionLike = None,
-    queue_capacity: int = 4,
-    page_rows: Optional[int] = None,
     max_group_size: Optional[int] = None,
 ) -> ClosedSystemResult:
-    """Run one closed-system experiment cell and measure throughput."""
+    """Run one closed-system experiment cell and measure throughput.
+
+    The machine is a fresh :class:`~repro.db.session.Session` over
+    ``catalog`` with ``processors`` hardware contexts; its routing
+    core merges and launches what the clients submit.
+
+    Examples
+    --------
+    Four clients of Q6 on one processor, always sharing: every
+    submission routes through a shared group.
+
+    >>> from repro.policies import AlwaysShare
+    >>> from repro.tpch.generator import generate
+    >>> from repro.workload import WorkloadMix, run_closed_system
+    >>> catalog = generate(scale_factor=0.0002, seed=3)
+    >>> result = run_closed_system(
+    ...     catalog, AlwaysShare(), WorkloadMix.single("q6"),
+    ...     n_clients=4, processors=1, warmup=0.0, window=50_000.0)
+    >>> result.completions > 0, result.solo_submissions
+    (True, 0)
+    """
     if n_clients < 1:
         raise WorkloadError(f"n_clients must be >= 1, got {n_clients}")
     if warmup < 0 or window <= 0:
@@ -120,12 +134,9 @@ def run_closed_system(
             f"invalid warmup/window: {warmup!r}/{window!r}"
         )
 
-    sim = Simulator(processors=processors, contention=contention)
-    engine_kwargs = dict(costs=costs, queue_capacity=queue_capacity)
-    if page_rows is not None:
-        engine_kwargs["page_rows"] = page_rows
-    engine = Engine(catalog, sim, **engine_kwargs)
-    coordinator = SharingCoordinator(engine, policy,
+    session = Database(catalog, RuntimeConfig(processors=processors)).session()
+    sim = session.sim
+    coordinator = SharingCoordinator(session, policy,
                                      max_group_size=max_group_size)
 
     queries = {name: build(name, catalog) for name in mix.weights}

@@ -1,12 +1,12 @@
-"""Direct unit tests for coordinator slot routing and the open driver.
+"""Direct unit tests for coordinator slot routing and open-system arrivals.
 
 The property suite (``test_property_coordinator.py``) checks the
 coordinator never loses a query; these tests pin down the *mechanism*:
 what prospective size and processor count each policy call sees, when
-a batch attaches to a busy signature versus launching, and when the
-pending batch flushes. The open-driver tests verify the arrival
-bookkeeping — the seeded Poisson process, the horizon cutoff, and the
-result arithmetic — independently of any policy behaviour.
+a batch attaches to a busy key versus launching, and when the pending
+batch flushes. The open-driver tests verify the arrival bookkeeping of
+``Server.serve`` — the seeded Poisson process and the horizon cutoff —
+independently of any policy behaviour.
 """
 
 import math
@@ -14,17 +14,14 @@ import random
 
 import pytest
 
-from repro.db import RuntimeConfig
-from repro.engine import Engine
+from repro.db import Database, RuntimeConfig
 from repro.errors import PolicyError
-from repro.obs.audit import AuditLog
 from repro.policies import AlwaysShare, NeverShare, SharingCoordinator
 from repro.policies.base import SharingPolicy
-from repro.sim import Simulator
+from repro.server import Server
 from repro.sim.events import Sleep
 from repro.tpch.generator import generate
-from repro.workload import WorkloadMix, run_open_system
-from repro.workload.open_driver import OpenSystemResult
+from repro.workload import WorkloadMix
 
 CATALOG = generate(scale_factor=0.0003, seed=77)
 
@@ -47,13 +44,20 @@ class RecordingPolicy(SharingPolicy):
         self.observed.append((query_name, group_size))
 
 
-def _coordinator(policy, processors=8, audit=None, max_group_size=None):
-    sim = Simulator(processors=processors)
-    engine = Engine(CATALOG, sim)
+def _coordinator(policy, processors=8, max_group_size=None):
+    session = Database(CATALOG, RuntimeConfig(processors=processors)).session()
     coordinator = SharingCoordinator(
-        engine, policy, max_group_size=max_group_size, audit=audit
+        session, policy, max_group_size=max_group_size
     )
-    return sim, coordinator
+    return session.sim, coordinator
+
+
+def _outcomes(coordinator):
+    return [
+        r.outcome
+        for r in coordinator.session.audit_log()
+        if r.source == "coordinator"
+    ]
 
 
 def _query(name="q6"):
@@ -87,8 +91,7 @@ class TestSlotRouting:
         assert coordinator.shared_submissions == 0
 
     def test_busy_signature_attaches_to_pending(self):
-        audit = AuditLog()
-        sim, coordinator = _coordinator(AlwaysShare(), audit=audit)
+        sim, coordinator = _coordinator(AlwaysShare())
         q = _query()
         coordinator.submit(q, "a0")
         coordinator.submit(q, "a1")
@@ -103,7 +106,7 @@ class TestSlotRouting:
         sim.spawn(late(), name="late")
         sim.run()
         assert pending_seen == [1]
-        outcomes = [r.outcome for r in audit.records]
+        outcomes = _outcomes(coordinator)
         assert outcomes[0] == "share"
         assert outcomes[1] == "attach"
         # The pending batch flushed once the active group drained.
@@ -222,9 +225,8 @@ class TestOverloadCorners:
         """A policy-declined query runs solo but keeps its signature
         busy; a batch forms behind it and must launch the instant the
         solo completes — not wait for any shared group."""
-        audit = AuditLog()
         policy = ScriptedPolicy([False, True])
-        sim, coordinator = _coordinator(policy, audit=audit)
+        sim, coordinator = _coordinator(policy)
         q = _query()
         finish_times = {}
 
@@ -240,8 +242,7 @@ class TestOverloadCorners:
 
         sim.spawn(latecomers(), name="latecomers")
         sim.run()
-        outcomes = [r.outcome for r in audit.records]
-        assert outcomes == ["solo", "attach"]
+        assert _outcomes(coordinator) == ["solo", "attach"]
         # The batch merged into one group launched after the solo.
         assert coordinator.launched_group_sizes == [1, 3]
         assert len(finish_times) == 4
@@ -250,16 +251,19 @@ class TestOverloadCorners:
         assert min(waiters) > finish_times["declined"]
 
 
+def _serve_q6(processors, **kwargs):
+    server = Server.open(CATALOG, RuntimeConfig(processors=processors),
+                         policy=NeverShare())
+    return server.serve(WorkloadMix.single("q6"), {"q6": _query()}, **kwargs)
+
+
 class TestOpenDriverBookkeeping:
     def test_poisson_schedule_matches_seeded_replay(self):
-        """The driver submits exactly the arrivals an offline replay of
+        """The server submits exactly the arrivals an offline replay of
         its seeded exponential-gap process places before the horizon."""
         rate, horizon, seed = 1.0 / 30_000.0, 500_000.0, 11
-        result = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=rate, config=RuntimeConfig(processors=8),
-            horizon=horizon, drain=200_000.0, seed=seed,
-        )
+        report = _serve_q6(8, arrival_rate=rate, horizon=horizon,
+                           drain=200_000.0, seed=seed)
         rng = random.Random(seed)
         t, expected = 0.0, 0
         while True:
@@ -267,45 +271,12 @@ class TestOpenDriverBookkeeping:
             if t >= horizon:
                 break
             expected += 1
-        assert result.submitted == expected
+        assert report.submitted == expected
 
     def test_no_arrivals_after_horizon(self):
-        result = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 20_000.0, config=RuntimeConfig(processors=8),
-            horizon=200_000.0, drain=400_000.0, seed=5,
-        )
-        a = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 20_000.0, config=RuntimeConfig(processors=8),
-            horizon=200_000.0, drain=800_000.0, seed=5,
-        )
+        kwargs = dict(arrival_rate=1.0 / 20_000.0, horizon=200_000.0, seed=5)
+        result = _serve_q6(8, drain=400_000.0, **kwargs)
+        a = _serve_q6(8, drain=800_000.0, **kwargs)
         # A longer drain admits no new work; it only finishes what's in.
         assert a.submitted == result.submitted
         assert a.completed >= result.completed
-
-    def test_result_arithmetic(self):
-        result = OpenSystemResult(
-            policy="x", processors=4, arrival_rate=0.1, horizon=100.0,
-            submitted=20, completed=19, mean_response_time=3.0,
-            max_response_time=9.0, utilization=0.5,
-        )
-        assert result.backlog == 1
-        assert result.stable  # 19 >= 0.95 * 20
-        worse = OpenSystemResult(
-            policy="x", processors=4, arrival_rate=0.1, horizon=100.0,
-            submitted=20, completed=18, mean_response_time=3.0,
-            max_response_time=9.0, utilization=0.5,
-        )
-        assert worse.backlog == 2
-        assert not worse.stable
-
-    def test_empty_run_reports_infinite_mean_response(self):
-        result = run_open_system(
-            CATALOG, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 1e9, config=RuntimeConfig(processors=2), horizon=10.0, seed=0,
-        )
-        assert result.submitted == 0
-        assert result.completed == 0
-        assert result.mean_response_time == float("inf")
-        assert result.backlog == 0

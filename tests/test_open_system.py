@@ -1,12 +1,14 @@
-"""Tests for the open-system (Poisson arrival) driver."""
+"""Open-system (Poisson arrival) behaviour, served by ``Server.serve``."""
 
 import pytest
 
 from repro.db import Database, RuntimeConfig
-from repro.errors import WorkloadError
+from repro.errors import EngineError
 from repro.policies import AlwaysShare, NeverShare
+from repro.server import AdmitAll, Server
 from repro.tpch.generator import generate
-from repro.workload import WorkloadMix, run_open_system
+from repro.tpch.queries import build
+from repro.workload import WorkloadMix
 
 
 @pytest.fixture(scope="module")
@@ -14,130 +16,99 @@ def catalog():
     return generate(scale_factor=0.0005, seed=61)
 
 
+def serve(catalog, policy, processors, session=None, **kwargs):
+    """Serve a Q6-only Poisson stream with no admission shedding, so
+    an overloaded run keeps its backlog instead of shedding it."""
+    if session is None:
+        session = Database(catalog, RuntimeConfig(processors=processors)).session()
+    server = Server(session, policy=policy, admission=AdmitAll())
+    return server.serve(
+        WorkloadMix.single("q6"), {"q6": build("q6", catalog)}, **kwargs
+    )
+
+
+def stable(report):
+    """Nearly everything that arrived has completed."""
+    return report.completed >= 0.95 * report.submitted
+
+
 class TestOpenSystem:
     def test_light_load_is_stable(self, catalog):
-        result = run_open_system(
-            catalog, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 50_000.0, config=RuntimeConfig(processors=8),
+        report = serve(
+            catalog, NeverShare(), 8, arrival_rate=1.0 / 50_000.0,
             horizon=600_000.0, drain=100_000.0, seed=1,
         )
-        assert result.submitted > 3
-        assert result.stable
-        assert result.mean_response_time > 0
-        assert result.max_response_time >= result.mean_response_time
+        assert report.submitted > 3
+        assert stable(report)
+        assert report.latency.p50 > 0
+        assert report.latency.max >= report.latency.p50
 
     def test_overload_builds_backlog(self, catalog):
         """Arrivals far above service capacity leave a backlog."""
-        result = run_open_system(
-            catalog, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 500.0, config=RuntimeConfig(processors=1),
+        report = serve(
+            catalog, NeverShare(), 1, arrival_rate=1.0 / 500.0,
             horizon=100_000.0, drain=0.0, seed=1,
         )
-        assert result.backlog > 0
-        assert not result.stable
+        assert report.shed == 0
+        assert report.backlog > 0
+        assert not stable(report)
 
     def test_sharing_raises_sustainable_load_on_small_machine(self, catalog):
         """On one processor, sharing eliminates work, so the same
         arrival rate produces a smaller backlog under always-share."""
         kwargs = dict(
-            catalog=catalog, mix=WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 4_000.0, config=RuntimeConfig(processors=1),
-            horizon=400_000.0, drain=0.0, seed=2,
+            arrival_rate=1.0 / 4_000.0, horizon=400_000.0, drain=0.0, seed=2
         )
-        shared = run_open_system(policy=AlwaysShare(), **kwargs)
-        unshared = run_open_system(policy=NeverShare(), **kwargs)
+        shared = serve(catalog, AlwaysShare(), 1, **kwargs)
+        unshared = serve(catalog, NeverShare(), 1, **kwargs)
         assert shared.completed > unshared.completed
+        assert shared.backlog < unshared.backlog
 
     def test_throughput_tracks_arrivals_when_stable(self, catalog):
         """Open-system property: response time does not set throughput;
         the arrival process does."""
-        result = run_open_system(
-            catalog, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 40_000.0, config=RuntimeConfig(processors=8),
-            horizon=800_000.0, drain=200_000.0, seed=3,
+        rate, horizon = 1.0 / 40_000.0, 800_000.0
+        report = serve(
+            catalog, NeverShare(), 8, arrival_rate=rate, horizon=horizon,
+            drain=200_000.0, seed=3,
         )
-        expected = result.horizon * result.arrival_rate
-        assert result.submitted == pytest.approx(expected, rel=0.5)
-        assert result.completed == result.submitted
+        assert report.submitted == pytest.approx(horizon * rate, rel=0.5)
+        assert report.completed == report.submitted
 
     def test_deterministic(self, catalog):
         kwargs = dict(
-            catalog=catalog, policy=NeverShare(),
-            mix=WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 20_000.0, config=RuntimeConfig(processors=4),
-            horizon=300_000.0, drain=100_000.0, seed=7,
-        )
-        a = run_open_system(**kwargs)
-        b = run_open_system(**kwargs)
-        assert (a.submitted, a.completed, a.mean_response_time) == (
-            b.submitted, b.completed, b.mean_response_time
-        )
-
-    def test_invalid_parameters(self, catalog):
-        mix = WorkloadMix.single("q6")
-        with pytest.raises(WorkloadError):
-            run_open_system(catalog, NeverShare(), mix, arrival_rate=0.0,
-                            config=RuntimeConfig(processors=1), horizon=1.0)
-        with pytest.raises(WorkloadError):
-            run_open_system(catalog, NeverShare(), mix, arrival_rate=1.0,
-                            config=RuntimeConfig(processors=1), horizon=0.0)
-        with pytest.raises(WorkloadError):
-            run_open_system(catalog, NeverShare(), mix, arrival_rate=1.0,
-                            config=RuntimeConfig(processors=1), horizon=1.0, drain=-1.0)
-
-
-class TestFacadePort:
-    """run_open_system now rides the Database/Session facade; the old
-    hand-wired signature stays, deprecated, and bit-identical."""
-
-    def test_legacy_knobs_warn_and_match_config_path(self, catalog):
-        kwargs = dict(
-            mix=WorkloadMix.single("q6"), arrival_rate=1.0 / 20_000.0,
-            horizon=300_000.0, drain=100_000.0, seed=7,
-        )
-        with pytest.warns(DeprecationWarning, match="processors"):
-            legacy = run_open_system(
-                catalog, NeverShare(), processors=4, **kwargs
-            )
-        modern = run_open_system(
-            catalog, NeverShare(),
-            config=RuntimeConfig(processors=4), **kwargs
-        )
-        assert legacy == modern  # the full frozen dataclass, every field
-
-    def test_session_first_argument(self, catalog):
-        session = Database(catalog, RuntimeConfig(processors=4)).session()
-        result = run_open_system(
-            session, NeverShare(), WorkloadMix.single("q6"),
             arrival_rate=1.0 / 20_000.0, horizon=300_000.0,
             drain=100_000.0, seed=7,
         )
-        baseline = run_open_system(
-            catalog, NeverShare(), WorkloadMix.single("q6"),
-            arrival_rate=1.0 / 20_000.0,
-            config=RuntimeConfig(processors=4),
-            horizon=300_000.0, drain=100_000.0, seed=7,
-        )
-        assert result == baseline
-        # The run advanced the session's own clock and audited on it.
-        assert session.now > 0
-        assert any(
-            r.source == "coordinator" for r in session.audit_log()
+        a = serve(catalog, NeverShare(), 4, **kwargs)
+        b = serve(catalog, NeverShare(), 4, **kwargs)
+        assert (a.submitted, a.completed, a.latency.mean) == (
+            b.submitted, b.completed, b.latency.mean
         )
 
-    def test_session_rejects_machine_knobs(self, catalog):
+    def test_invalid_parameters(self, catalog):
+        with pytest.raises(EngineError):
+            serve(catalog, NeverShare(), 1, arrival_rate=0.0, horizon=1.0)
+        with pytest.raises(EngineError):
+            serve(catalog, NeverShare(), 1, arrival_rate=1.0, horizon=0.0)
+        with pytest.raises(EngineError):
+            serve(catalog, NeverShare(), 1, arrival_rate=1.0, horizon=1.0,
+                  drain=-1.0)
+
+
+class TestFacadePort:
+    def test_session_first_argument(self, catalog):
+        """A server over an existing session runs on that session: the
+        same report as a fresh one, on the session's clock and audit."""
+        kwargs = dict(
+            arrival_rate=1.0 / 20_000.0, horizon=300_000.0,
+            drain=100_000.0, seed=7,
+        )
         session = Database(catalog, RuntimeConfig(processors=4)).session()
-        with pytest.raises(WorkloadError, match="Session already fixes"):
-            run_open_system(
-                session, NeverShare(), WorkloadMix.single("q6"),
-                arrival_rate=0.001, processors=2, horizon=10.0,
-            )
-
-    def test_config_and_legacy_knobs_conflict(self, catalog):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(WorkloadError, match="not both"):
-                run_open_system(
-                    catalog, NeverShare(), WorkloadMix.single("q6"),
-                    arrival_rate=0.001, processors=2,
-                    config=RuntimeConfig(processors=2), horizon=10.0,
-                )
+        result = serve(catalog, NeverShare(), 4, session=session, **kwargs)
+        baseline = serve(catalog, NeverShare(), 4, **kwargs)
+        assert [r.finished_at for r in result.records] == [
+            r.finished_at for r in baseline.records
+        ]
+        assert session.now > 0
+        assert any(r.source == "coordinator" for r in session.audit_log())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Engine
+from repro.db import Database, RuntimeConfig
 from repro.errors import PolicyError
 from repro.policies import (
     AlwaysShare,
@@ -11,7 +11,6 @@ from repro.policies import (
     SharingCoordinator,
 )
 from repro.profiling import QueryProfiler
-from repro.sim import Simulator
 from repro.tpch.generator import generate
 from repro.tpch.queries import build
 
@@ -91,20 +90,23 @@ class TestModelGuidedPolicy:
         assert policy._decision_cache[("q6", 16, 1)] == first
 
 
+def _session(catalog, processors):
+    return Database(catalog, RuntimeConfig(processors=processors)).session()
+
+
 class TestCoordinator:
     def run_workload(self, catalog, policy, n_submissions=8, processors=4,
                      max_group_size=None):
-        sim = Simulator(processors=processors)
-        engine = Engine(catalog, sim)
-        coordinator = SharingCoordinator(engine, policy,
+        session = _session(catalog, processors)
+        coordinator = SharingCoordinator(session, policy,
                                          max_group_size=max_group_size)
         query = build("q6", catalog)
         done = []
         for i in range(n_submissions):
             coordinator.submit(query, f"q6#{i}",
                                on_complete=lambda h: done.append(h.label))
-        sim.run()
-        return engine, coordinator, done
+        session.sim.run()
+        return session.engine, coordinator, done
 
     def test_never_share_launches_all_singletons(self, catalog):
         engine, coord, done = self.run_workload(catalog, NeverShare())
@@ -121,9 +123,9 @@ class TestCoordinator:
         assert coord.shared_submissions == 8
 
     def test_always_share_batches_behind_active_group(self, catalog):
-        sim = Simulator(processors=4)
-        engine = Engine(catalog, sim)
-        coordinator = SharingCoordinator(engine, AlwaysShare())
+        session = _session(catalog, 4)
+        sim, engine = session.sim, session.engine
+        coordinator = SharingCoordinator(session, AlwaysShare())
         query = build("q6", catalog)
         done = []
         coordinator.submit(query, "first",
@@ -152,9 +154,9 @@ class TestCoordinator:
         assert all(h.rows == reference for h in engine_a.handles)
 
     def test_different_signatures_do_not_merge(self, catalog):
-        sim = Simulator(processors=4)
-        engine = Engine(catalog, sim)
-        coordinator = SharingCoordinator(engine, AlwaysShare())
+        session = _session(catalog, 4)
+        sim, engine = session.sim, session.engine
+        coordinator = SharingCoordinator(session, AlwaysShare())
         q6, q4 = build("q6", catalog), build("q4", catalog)
         for i in range(3):
             coordinator.submit(q6, f"q6#{i}")
@@ -165,14 +167,14 @@ class TestCoordinator:
             assert len(names) == 1
 
     def test_invalid_max_group_size(self, catalog):
-        engine = Engine(catalog, Simulator(processors=2))
         with pytest.raises(PolicyError):
-            SharingCoordinator(engine, AlwaysShare(), max_group_size=0)
+            SharingCoordinator(_session(catalog, 2), AlwaysShare(),
+                               max_group_size=0)
 
     def test_pending_count_drains(self, catalog):
-        sim = Simulator(processors=2)
-        engine = Engine(catalog, sim)
-        coordinator = SharingCoordinator(engine, AlwaysShare())
+        session = _session(catalog, 2)
+        sim = session.sim
+        coordinator = SharingCoordinator(session, AlwaysShare())
         query = build("q6", catalog)
         coordinator.submit(query, "first")
         sim.run(until=1.0)

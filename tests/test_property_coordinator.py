@@ -8,10 +8,10 @@ exactly once.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, execute_reference
+from repro.db import Database, RuntimeConfig
+from repro.engine import execute_reference
 from repro.policies import AlwaysShare, NeverShare, SharingCoordinator
 from repro.policies.base import SharingPolicy
-from repro.sim import Simulator
 from repro.tpch.generator import generate
 from repro.tpch.queries import build
 
@@ -53,9 +53,9 @@ submission_lists = st.lists(
 )
 @settings(max_examples=25, deadline=None)
 def test_no_query_lost_and_all_results_correct(submissions, bits, processors):
-    sim = Simulator(processors=processors)
-    engine = Engine(_CATALOG, sim)
-    coordinator = SharingCoordinator(engine, ArbitraryPolicy(bits))
+    session = Database(_CATALOG, RuntimeConfig(processors=processors)).session()
+    sim = session.sim
+    coordinator = SharingCoordinator(session, ArbitraryPolicy(bits))
     done = []
 
     # Stagger submissions at arbitrary times via a driver task.
@@ -90,9 +90,9 @@ def test_no_query_lost_and_all_results_correct(submissions, bits, processors):
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=20, deadline=None)
 def test_group_sizes_partition_submissions(n_submissions, processors):
-    sim = Simulator(processors=processors)
-    engine = Engine(_CATALOG, sim)
-    coordinator = SharingCoordinator(engine, AlwaysShare())
+    session = Database(_CATALOG, RuntimeConfig(processors=processors)).session()
+    sim = session.sim
+    coordinator = SharingCoordinator(session, AlwaysShare())
     for i in range(n_submissions):
         coordinator.submit(_QUERIES["q6"], f"q6#{i}")
     sim.run()
@@ -103,9 +103,9 @@ def test_group_sizes_partition_submissions(n_submissions, processors):
        st.integers(min_value=1, max_value=4))
 @settings(max_examples=15, deadline=None)
 def test_max_group_size_respected(n_submissions, cap):
-    sim = Simulator(processors=4)
-    engine = Engine(_CATALOG, sim)
-    coordinator = SharingCoordinator(engine, AlwaysShare(),
+    session = Database(_CATALOG, RuntimeConfig(processors=4)).session()
+    sim = session.sim
+    coordinator = SharingCoordinator(session, AlwaysShare(),
                                      max_group_size=cap)
     for i in range(n_submissions):
         coordinator.submit(_QUERIES["q6"], f"q6#{i}")
@@ -117,9 +117,9 @@ def test_max_group_size_respected(n_submissions, cap):
 @given(st.integers(min_value=1, max_value=12))
 @settings(max_examples=15, deadline=None)
 def test_never_share_launches_exactly_n_singletons(n_submissions):
-    sim = Simulator(processors=4)
-    engine = Engine(_CATALOG, sim)
-    coordinator = SharingCoordinator(engine, NeverShare())
+    session = Database(_CATALOG, RuntimeConfig(processors=4)).session()
+    sim = session.sim
+    coordinator = SharingCoordinator(session, NeverShare())
     for i in range(n_submissions):
         coordinator.submit(_QUERIES["q4"], f"q4#{i}")
     sim.run()

@@ -335,11 +335,10 @@ class TestFacadeWiring:
 
     def test_default_policy_is_the_session_advisor(self, catalog, q6):
         server = make_server(catalog)
-        assert server.policy.name == "advisor"
+        assert server.policy is None
         report = serve_q6(server, q6, rate=1.0 / 5_000.0,
                           horizon=100_000.0, drain=300_000.0, seed=2)
         assert report.completed > 0
         # The advisor was actually consulted: decisions were audited.
-        assert any(
-            r.source == "coordinator" for r in server.session.audit_log()
-        )
+        sources = {r.source for r in server.session.audit_log()}
+        assert {"coordinator", "advisor"} <= sources
